@@ -2,8 +2,9 @@
 
 The package decides whether a target vector lies in the image of the
 spectraplex under a family of symmetric matrices, returning either a factored
-convex-combination representation or a separating hyperplane backed by an
-exact eigenvalue certificate.  Reductions to semidefinite feasibility and the
+convex-combination representation or a separating hyperplane backed by a
+smallest eigenvalue from LAPACK that clears the pivot bar by more than its
+rigorous error bound.  Reductions to semidefinite feasibility and the
 cut-value relaxation ride on top, as does separation of two such image sets.
 """
 
@@ -21,7 +22,6 @@ from .symcore import (
     rank_one_image,
 )
 from .eigen import (
-    EigenConvergenceError,
     EigenDecomposition,
     PowerResult,
     certified_min_eig,
@@ -80,7 +80,6 @@ __all__ = [
     "ChmIterate",
     "DegeneratePivotError",
     "DimensionError",
-    "EigenConvergenceError",
     "EigenDecomposition",
     "FEASIBLE",
     "Hyperplane",

@@ -1,9 +1,10 @@
 """Symmetric eigenvalue machinery.
 
-Two routes with different contracts: a cyclic Jacobi solver that certifies
-spectra exactly at desk scale, and a shifted power iteration that exits early
-as soon as its Rayleigh value drops below a caller-supplied threshold.  The
-power route is allowed to give up; the Jacobi route is not.
+Two routes with different contracts: a full decomposition from LAPACK
+(``numpy.linalg.eigh``) whose smallest eigenvalue comes with a rigorous error
+bound, and a shifted power iteration that exits early as soon as its Rayleigh
+value drops below a caller-supplied threshold.  The power route is allowed to
+give up; the certified route is not.
 """
 
 from __future__ import annotations
@@ -15,24 +16,10 @@ import numpy as np
 
 from .symcore import SymmetricMatrix, gershgorin_bound
 
-try:  # optional JIT; the kernel runs unchanged without it, just slower
-    from numba import njit
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - depends on the environment
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
+# perfbench's environment header reads this flag; ROADMAP item 4 renames it
+HAVE_NUMBA = False
 
 __all__ = [
-    "EigenConvergenceError",
     "EigenDecomposition",
     "PowerResult",
     "jacobi_eigen",
@@ -41,12 +28,8 @@ __all__ = [
     "default_power_budget",
 ]
 
-JACOBI_SWEEP_CAP = 30
 POWER_ACCURACY = 0.1  # resolution parameter behind the default budget
-
-
-class EigenConvergenceError(RuntimeError):
-    """The rotation sweep cap was hit before the off-diagonal mass died."""
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 @dataclass(frozen=True)
@@ -79,82 +62,43 @@ class PowerResult:
     exited_early: bool
 
 
-@njit(cache=True)
-def _jacobi_sweeps(a, vec, off_target, max_sweeps):  # pragma: no cover - exercised via jacobi_eigen
-    n = a.shape[0]
-    for sweep in range(max_sweeps):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += a[i, j] * a[i, j]
-        off = math.sqrt(2.0 * off)
-        if off <= off_target:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for i in range(n):
-                    aip = a[i, p]
-                    aiq = a[i, q]
-                    a[i, p] = c * aip - s * aiq
-                    a[i, q] = s * aip + c * aiq
-                for i in range(n):
-                    api = a[p, i]
-                    aqi = a[q, i]
-                    a[p, i] = c * api - s * aqi
-                    a[q, i] = s * api + c * aqi
-                for i in range(n):
-                    vip = vec[i, p]
-                    viq = vec[i, q]
-                    vec[i, p] = c * vip - s * viq
-                    vec[i, q] = s * vip + c * viq
-    off = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            off += a[i, j] * a[i, j]
-    off = math.sqrt(2.0 * off)
-    if off <= off_target:
-        return max_sweeps
-    return -1
+# perfbench --trace 1 wraps this name; ROADMAP item 4 renames it
+def jacobi_eigen(a: SymmetricMatrix) -> EigenDecomposition:
+    """Full spectrum from LAPACK's symmetric eigensolver (``numpy.linalg.eigh``)."""
+    values, vectors = np.linalg.eigh(a.entries)
+    return EigenDecomposition(values, vectors)
 
 
-def jacobi_eigen(a: SymmetricMatrix, tol: float = 1e-12) -> EigenDecomposition:
-    """Diagonalize by cyclic rotation sweeps.
+def _gamma(k: int) -> float:
+    """Higham's gamma_k: relative error bound of a length-k float sum of products."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
 
-    Sweeps rotate every off-diagonal pair in row order until the off-diagonal
-    Frobenius mass drops below ``tol`` times the Frobenius norm of the input.
-    Symmetric input converges quadratically; the sweep cap exists purely as a
-    numerical tripwire.
+
+def _min_eig_error_bound(a: SymmetricMatrix, dec: EigenDecomposition) -> float:
+    """A rigorous bound delta on |lambda_min(A) - dec.values[0]|.
+
+    With R = A V - V L and E = V^T V - I for the computed pair (V, L), the
+    polar factor Q of V satisfies ||V - Q||_2 <= ||E||_2, hence
+    ||Q^T A Q - L||_2 <= ||R||_2 + (||A||_2 + ||L||_2) ||E||_2, and by Weyl's
+    theorem no sorted eigenvalue of A is farther than that from its entry of
+    L.  Frobenius norms stand in for the 2-norms; gamma terms add the
+    rounding of forming R and E themselves, and a final relative allowance
+    covers the norms and sums of this function.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     n = a.n
-    if n == 1:
-        return EigenDecomposition(a.entries[0].copy(), np.eye(1))
-    scale = a.frob
-    if scale == 0.0:
-        return EigenDecomposition(np.zeros(n), np.eye(n))
-    work = np.array(a.entries, dtype=float)
-    vec = np.eye(n)
-    sweeps = _jacobi_sweeps(work, vec, tol * scale, JACOBI_SWEEP_CAP)
-    if sweeps < 0:
-        raise EigenConvergenceError(
-            f"off-diagonal mass still above {tol:g} * ||A||_F after {JACOBI_SWEEP_CAP} sweeps"
-        )
-    values = np.diag(work).copy()
-    order = np.argsort(values, kind="stable")
-    return EigenDecomposition(values[order], vec[:, order])
+    mat, vals, vec = a.entries, dec.values, dec.vectors
+    u = UNIT_ROUNDOFF
+    a_norm = a.frob
+    lam_norm = float(np.abs(vals).max())
+    v_norm = float(np.linalg.norm(vec))
+    resid = float(np.linalg.norm(mat @ vec - vec * vals))
+    resid = (1.0 + 2.0 * u) * resid + _gamma(n + 1) * (a_norm + lam_norm) * v_norm
+    ortho = float(np.linalg.norm(vec.T @ vec - np.eye(n)))
+    ortho = (1.0 + 2.0 * u) * ortho + _gamma(n + 1) * v_norm * v_norm
+    delta = resid + (a_norm + lam_norm) * ortho
+    # subnormal products may lose all relative accuracy; charge each entry
+    underflow = 2.0 * (n + 2) * n * np.finfo(float).smallest_subnormal
+    return (1.0 + _gamma(n * n + 8)) * (delta + underflow)
 
 
 def default_power_budget(n: int) -> int:
@@ -219,7 +163,17 @@ def min_eig_power(
     return PowerResult(best_ray, best_u, budget, False)
 
 
-def certified_min_eig(a: SymmetricMatrix, tol: float = 1e-12) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and a matching eigenvector, Jacobi-backed."""
-    dec = jacobi_eigen(a, tol)
-    return float(dec.values[0]), dec.vectors[:, 0].copy()
+def certified_min_eig(
+    a: SymmetricMatrix, bar: float | None = None
+) -> tuple[float, np.ndarray, float]:
+    """Smallest eigenvalue, a matching unit eigenvector and its error bound.
+
+    Returns ``(value, vector, delta)`` with |lambda_min(A) - value| <= delta.
+    The bound costs two more matrix products, so when ``bar`` is given and
+    ``value <= bar`` (the caller only wants a direction at or below the bar)
+    it is skipped and ``delta`` is ``inf``, which is still a true bound.
+    """
+    dec = jacobi_eigen(a)
+    value = float(dec.values[0])
+    delta = math.inf if bar is not None and value <= bar else _min_eig_error_bound(a, dec)
+    return value, dec.vectors[:, 0].copy(), delta

@@ -2,10 +2,13 @@
 
 The solver walks the factored iterate toward the target: assemble the
 residual-weighted pivot matrix, ask an escalating oracle (cache scan, shifted
-power probe, exact Jacobi) for a direction whose quadratic form clears the
-pivot bar, take the distance-minimizing convex step, and prune the factor list
-when it grows past the representation bound.  Absence of a pivot is certified
-exactly and converts directly into a separating-hyperplane witness.
+power probe, LAPACK eigendecomposition) for a direction whose quadratic form
+clears the pivot bar, take the distance-minimizing convex step, and prune the
+factor list when it grows past the representation bound.  Absence of a pivot
+is certified by a smallest eigenvalue that clears the bar by more than its
+rigorous error bound, and converts directly into a separating-hyperplane
+witness; an eigenvalue within its error bound of the bar ends the run
+inconclusive.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .chm import (
     default_iteration_cap,
     find_pivot,
 )
-from .eigen import EigenConvergenceError, certified_min_eig, min_eig_power
+from .eigen import certified_min_eig, min_eig_power
 from .symcore import (
     ShmInstance,
     SpectraplexPoint,
@@ -104,12 +107,14 @@ def assemble_pivot_matrix(instance: ShmInstance, point: SpectraplexPoint) -> Piv
 
 @dataclass(frozen=True)
 class PivotOutcome:
-    """Either a usable pivot direction or a certified statement that none exists.
+    """Either a usable pivot direction or the evidence that none exists.
 
     ``found`` with ``vector``/``rayleigh`` set means the direction clears the
     bar as computed by the reporting route (``method`` one of cache, power,
-    jacobi).  ``found=False`` always carries a Jacobi-certified ``lambda_min``
-    strictly above the bar.
+    jacobi; ``jacobi`` names the LAPACK eigendecomposition).  ``found=False``
+    carries the eigendecomposition's ``lambda_min`` above the bar and its
+    rigorous ``error_bound``; absence is ``certified`` only when ``margin``,
+    ``lambda_min - error_bound - threshold``, is positive.
     """
 
     found: bool
@@ -120,6 +125,17 @@ class PivotOutcome:
     method: str
     cache_index: int | None = None
     power_iterations: int = 0
+    error_bound: float = math.inf  # no bound known: never certified
+
+    @property
+    def margin(self) -> float | None:
+        if self.found:
+            return None
+        return float(self.lambda_min - self.error_bound - self.threshold)
+
+    @property
+    def certified(self) -> bool:
+        return not self.found and self.margin > 0.0
 
 
 class PivotCache:
@@ -184,9 +200,11 @@ def pivot_oracle(
 
     Escalation order in cached-first mode: scan the cache images with the
     finite-set pivot rule (no matrix work at all), then the shifted power
-    probe with one restart, then exact Jacobi.  ``power`` skips the scan,
-    ``exact`` goes straight to Jacobi.  A ``found=False`` outcome is always
-    Jacobi-certified.
+    probe with one restart, then a full LAPACK eigendecomposition
+    (``method="jacobi"``).  ``power`` skips the scan, ``exact`` goes straight
+    to the eigendecomposition.  Only a ``found=False`` outcome pays for the
+    eigenvalue error bound; it is ``certified`` when the smallest eigenvalue
+    clears the bar by more than that bound.
     """
     if mode not in ORACLE_MODES:
         raise ValueError(f"unknown oracle mode {mode!r}")
@@ -210,10 +228,13 @@ def pivot_oracle(
                 return PivotOutcome(
                     True, r.vector, r.rayleigh, None, thr, "power", power_iterations=total_power
                 )
-    lam, vec = certified_min_eig(assembly.matrix)
+    lam, vec, delta = certified_min_eig(assembly.matrix, thr)
+    # perfbench's trace counts the "jacobi" label; ROADMAP item 4 renames it
     if lam <= thr:
         return PivotOutcome(True, vec, lam, lam, thr, "jacobi", power_iterations=total_power)
-    return PivotOutcome(False, None, None, lam, thr, "jacobi", power_iterations=total_power)
+    return PivotOutcome(
+        False, None, None, lam, thr, "jacobi", power_iterations=total_power, error_bound=delta
+    )
 
 
 @dataclass
@@ -231,8 +252,10 @@ class Certificate:
 
     Feasible carries a representation whose image lands within the tolerance
     ball; Witness carries the bisecting hyperplane plus the certified margin
-    by which no pivot exists; Inconclusive only reports how far the budgeted
-    run got.
+    by which no pivot exists, the eigenvalue error bound already taken off;
+    Inconclusive only reports how far the run got, either because the budget
+    ran out or because the smallest eigenvalue cleared the bar by less than
+    its error bound.
     """
 
     kind: str
@@ -329,7 +352,7 @@ def _merge_duplicate_factors(w: np.ndarray, v: np.ndarray, ti: np.ndarray):
 
 
 def _prune_arrays(instance: ShmInstance, w: np.ndarray, v: np.ndarray, ti: np.ndarray):
-    from .eigen import jacobi_eigen  # local import keeps module load cheap
+    from .eigen import jacobi_eigen  # resolved per call, where perfbench's trace wraps it
 
     n, m = instance.n, instance.m
     if w.shape[0] > n:
@@ -385,7 +408,7 @@ def prune_representation(instance: ShmInstance, point: SpectraplexPoint) -> Spec
         return SpectraplexPoint(w, v, image=w @ ti, term_images=ti)
     try:
         w, v, ti = _prune_arrays(instance, w, v, ti)
-    except (np.linalg.LinAlgError, EigenConvergenceError) as err:
+    except np.linalg.LinAlgError as err:
         logger.warning("prune left the representation unchanged: %s", err)
         return point
     if logger.isEnabledFor(logging.DEBUG):
@@ -450,11 +473,16 @@ def _run(instance, epsilon, max_iters, oracle_mode, seed, start, strict, cache):
         if out.method == "jacobi":
             stats.jacobi_certs += 1
         if not out.found:
-            margin = float(out.lambda_min - asm.threshold)
+            if not out.certified:
+                # no pivot, but the bar lies within the eigenvalue error bound
+                return Certificate(
+                    INCONCLUSIVE, it.snapshot(), gap, epsilon, radius, iterations,
+                    oracle_calls, stats=stats, cache=cache,
+                )
             hp = Hyperplane(asm.resid.copy(), asm.threshold)
             return Certificate(
                 WITNESS, it.snapshot(), gap, epsilon, radius, iterations, oracle_calls,
-                hyperplane=hp, eig_margin=margin, stats=stats, cache=cache,
+                hyperplane=hp, eig_margin=out.margin, stats=stats, cache=cache,
             )
         v = out.vector
         if out.method == "cache":
@@ -542,6 +570,15 @@ class VerificationReport:
     checks: tuple[str, ...]
 
 
+def _positive_definite(a: SymmetricMatrix, shift: float) -> bool:
+    """Whether ``a - shift*I`` admits a Cholesky factorisation."""
+    try:
+        np.linalg.cholesky(a.entries - shift * np.eye(a.n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def verify_certificate(
     instance: ShmInstance,
     cert: Certificate,
@@ -551,9 +588,11 @@ def verify_certificate(
     """Audit a decided certificate without trusting its cached numbers.
 
     Feasible: re-evaluate the representation from its factors and re-check the
-    tolerance.  Witness: recompute the pivot matrix, confirm absence by an
-    independent exact eigensolve, and hammer the claimed inequalities with
-    random rank-one points plus every cached pivot.
+    tolerance.  Witness: recompute the pivot matrix A and bar, confirm absence
+    of a pivot by a Cholesky factorisation of ``A - bar*I`` (a route
+    independent of the solver's eigensolver), confirm the stored margin by
+    one of ``A - (bar + eig_margin/2)*I``, and hammer the claimed
+    inequalities with random rank-one points plus every cached pivot.
     """
     if cert.kind not in (FEASIBLE, WITNESS):
         raise ValueError("only Feasible or Witness certificates can be verified")
@@ -581,14 +620,14 @@ def verify_certificate(
     else:
         note(cert.hyperplane is not None, "hyperplane present")
         asm = _make_assembly(instance, img)
-        lam, _ = certified_min_eig(asm.matrix)
-        margin = lam - asm.threshold
-        note(margin > 0.0, f"certified eigen margin {margin:.3e}")
-        if cert.eig_margin is not None:
-            note(
-                abs(margin - cert.eig_margin) <= 1e-6 * (1.0 + abs(margin)),
-                "stored margin consistent",
-            )
+        note(_positive_definite(asm.matrix, asm.threshold), "Cholesky of A - bar*I")
+        stored = cert.eig_margin
+        note(
+            stored is not None and stored > 0.0
+            and _positive_definite(asm.matrix, asm.threshold + 0.5 * stored),
+            f"stored margin {'missing' if stored is None else f'{stored:.3e}'}"
+            " confirmed by Cholesky of A - (bar + margin/2)*I",
+        )
         gen = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         u = gen.standard_normal((sample_count, instance.n))
         u /= np.linalg.norm(u, axis=1, keepdims=True)

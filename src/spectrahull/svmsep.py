@@ -44,7 +44,7 @@ class PairCertificate:
 
     Separated carries the bisector of the final connecting segment, with the
     left hull strictly below the offset and the right hull strictly above,
-    plus each side's certified eigenvalue margin.  Intersecting carries a
+    plus each side's certified eigenvalue margin, error bound taken off.  Intersecting carries a
     pair of representations whose images agree within tolerance.
     """
 
@@ -151,7 +151,13 @@ def solve_separation(
             if out.method == "jacobi":
                 stats.jacobi_certs += 1
             if not out.found:
-                margins[k] = float(out.lambda_min - asm.threshold)
+                if not out.certified:
+                    # the bar lies within the eigenvalue error bound
+                    return PairCertificate(
+                        INCONCLUSIVE, snapshot(gap), epsilon, scale, iterations,
+                        oracle_calls, stats=stats,
+                    )
+                margins[k] = out.margin
                 continue
             if out.method == "cache":
                 v_img = caches[k].images[out.cache_index].copy()

@@ -1,4 +1,8 @@
-"""Jacobi sweep and shifted power probe, frozen cases plus spectra invariants."""
+"""LAPACK decomposition with its error bound and the shifted power probe:
+frozen cases plus spectra invariants."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,9 +56,10 @@ def test_jacobi_zero_matrix():
     assert np.allclose(dec.vectors, np.eye(3))
 
 
-def test_jacobi_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        jacobi_eigen(TWO_ONE, tol=0.0)
+def test_jacobi_takes_no_tol():
+    # the LAPACK route has no stopping tolerance to tune
+    with pytest.raises(TypeError):
+        jacobi_eigen(TWO_ONE, tol=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -128,10 +133,10 @@ def test_power_report_is_sound(seed):
 
 
 def test_certified_min_eig_frozen():
-    lam, v = certified_min_eig(SymmetricMatrix.diag([1.0, 2.0, 3.0]))
+    lam, v, _ = certified_min_eig(SymmetricMatrix.diag([1.0, 2.0, 3.0]))
     assert lam == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(np.abs(v), [1.0, 0.0, 0.0])
-    lam2, v2 = certified_min_eig(OFFDIAG)
+    lam2, v2, _ = certified_min_eig(OFFDIAG)
     assert lam2 == pytest.approx(-1.0, abs=1e-12)
     s = 1.0 / np.sqrt(2.0)
     assert np.allclose(np.abs(v2), [s, s])
@@ -145,8 +150,8 @@ def test_certified_min_eig_shift_consistency(seed):
     n = int(rng.integers(2, 7))
     a = helpers.random_symmetric(rng, n)
     c = float(rng.uniform(-2.0, 2.0))
-    lam, v = certified_min_eig(SymmetricMatrix(a))
-    lam_s, v_s = certified_min_eig(SymmetricMatrix(a + c * np.eye(n)))
+    lam, v, _ = certified_min_eig(SymmetricMatrix(a))
+    lam_s, v_s, _ = certified_min_eig(SymmetricMatrix(a + c * np.eye(n)))
     assert lam_s == pytest.approx(lam + c, abs=1e-9)
     # compare through the Rayleigh quotient to stay stable under degeneracy
     assert quad_form(SymmetricMatrix(a), v_s) == pytest.approx(lam, abs=1e-8)
@@ -158,6 +163,61 @@ def test_certified_vector_attains_value(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 7))
     a = SymmetricMatrix(helpers.random_symmetric(rng, n, scale=4.0))
-    lam, v = certified_min_eig(a)
+    lam, v, _ = certified_min_eig(a)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert quad_form(a, v) == pytest.approx(lam, abs=1e-9 * max(1.0, a.frob))
+
+
+def _exactly_positive_definite(a: np.ndarray, shift: Fraction) -> bool:
+    """Whether a - shift*I is positive definite, decided in exact rationals.
+
+    Gaussian elimination without pivoting keeps every pivot positive exactly
+    when all leading principal minors are, which is Sylvester's criterion.
+    """
+    n = a.shape[0]
+    m = [[Fraction(float(a[i, j])) - (shift if i == j else 0) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            for j in range(k + 1, n):
+                m[i][j] -= f * m[k][j]
+    return True
+
+
+def _planted_spectrum(rng, n):
+    """Eigenvalues with repeats and tight clusters at one of many scales."""
+    kind = int(rng.integers(0, 3))
+    if kind == 0:  # one value repeated, a few stragglers
+        lam = np.full(n, rng.standard_normal())
+        lam[: int(rng.integers(0, n))] = rng.standard_normal()
+    elif kind == 1:  # a cluster 1e-10 wide around the bottom
+        lam = rng.standard_normal(n)
+        k = int(rng.integers(1, n + 1))
+        lam[:k] = lam.min() + 1e-10 * rng.random(k)
+    else:  # well spread, both signs
+        lam = rng.uniform(-1.0, 1.0, n)
+    return lam * 10.0 ** rng.uniform(-8.0, 8.0)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_certified_bound_brackets_planted_spectrum(seed):
+    """|lambda_min - value| <= delta, checked in exact rational arithmetic."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = SymmetricMatrix((q * _planted_spectrum(rng, n)) @ q.T)
+    lam, _, delta = certified_min_eig(a)
+    assert 0.0 < delta <= 1e-12 * max(a.frob, 1e-300)
+    lam_q, delta_q = Fraction(lam), Fraction(delta)
+    assert _exactly_positive_definite(a.entries, lam_q - delta_q)
+    assert not _exactly_positive_definite(a.entries, lam_q + delta_q)
+
+
+def test_certified_bound_skipped_below_bar():
+    a = SymmetricMatrix.diag([1.0, 2.0])
+    assert certified_min_eig(a, bar=1.5)[2] == math.inf
+    lam, _, delta = certified_min_eig(a, bar=0.5)
+    assert lam == 1.0 and 0.0 < delta < 1e-14

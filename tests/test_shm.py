@@ -1,5 +1,8 @@
 """Spectrahull membership: pivot assembly, oracle ladder, solver, verification."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from spectrahull import (
     SpectraplexPoint,
     assemble_pivot_matrix,
     bind,
+    certified_min_eig,
     image,
     pivot_oracle,
     prune_representation,
@@ -110,6 +114,22 @@ def test_oracle_certified_absence():
     assert out.lambda_min == pytest.approx(-6.0, abs=1e-9)
     assert out.method == "jacobi"  # absence is always eigensolver-certified
     assert out.lambda_min > out.threshold
+    assert 0.0 < out.error_bound < 1e-12
+    assert out.certified
+    assert out.margin == pytest.approx(2.0, abs=1e-9)
+
+
+def test_oracle_bar_within_error_bound_is_not_certified():
+    # lambda_min is -6 exactly; a bar one ulp below it sits inside the bound
+    bar = math.nextafter(-6.0, -math.inf)
+    asm = PivotMatrixAssembly(
+        INTERVAL, np.array([3.0]), np.array([1.0]), np.array([-2.0]), bar
+    )
+    out = pivot_oracle(asm, mode="exact")
+    assert not out.found
+    assert out.lambda_min > out.threshold
+    assert out.margin < 0.0
+    assert not out.certified
 
 
 def test_oracle_zero_matrix_degenerate_pivot():
@@ -259,6 +279,18 @@ def test_solve_cached_witness_margin():
     assert cert.oracle_calls <= max(cert.iterations, 1)
 
 
+def test_solve_ends_inconclusive_when_margin_within_bound(monkeypatch):
+    # an error bound as wide as the spectrum leaves no absence certifiable
+    monkeypatch.setattr(
+        "spectrahull.shm.certified_min_eig",
+        lambda a, bar=None: certified_min_eig(a, bar)[:2] + (math.inf,),
+    )
+    for solve in (solve_shm, solve_shm_cached):
+        cert = solve(interval_with(5.0), 1e-6)
+        assert cert.kind == INCONCLUSIVE
+        assert cert.hyperplane is None and cert.eig_margin is None
+
+
 def test_solve_mode_cached_alias():
     a = solve_shm(INTERVAL, 1e-6, mode="cached", start=E1)
     b = solve_shm_cached(INTERVAL, 1e-6, start=E1)
@@ -381,6 +413,20 @@ def test_verify_flags_shifted_hyperplane():
     assert not report.passed
 
 
+def test_verify_flags_tampered_margin():
+    inst = interval_with(5.0)
+    cert = solve_shm(inst, 1e-6, mode="exact", start=E1)
+    assert cert.eig_margin == pytest.approx(2.0, abs=1e-9)
+    assert verify_certificate(inst, cert, sample_count=100).passed
+    # lambda_min - bar is 2, so any stored margin above 4 overstates it
+    for forged in (4.5, 20.0, 0.0, -1.0, None):
+        report = verify_certificate(
+            inst, dataclasses.replace(cert, eig_margin=forged), sample_count=100
+        )
+        assert not report.passed, forged
+        assert report.violations == 1, report.checks
+
+
 def test_verify_rejects_inconclusive():
     cert = solve_shm(interval_with(1.0), 1e-6, max_iters=0)
     with pytest.raises(ValueError):
@@ -410,3 +456,45 @@ def test_solver_certificates_are_sound(seed):
         return
     report = verify_certificate(inst, cert, sample_count=300, seed=1)
     assert report.passed, report.checks
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_witness_fuzz_at_tolerance_depth(seed):
+    """Targets just over eps * R past the support value: witnesses hold up.
+
+    The image set lies in d.x <= lambda_max(sum_k d_k A_k), so a target that
+    far beyond the support point along d cannot be certified feasible; every
+    witness either driver returns must keep a positive margin net of the
+    eigenvalue error bound and pass the Cholesky audit.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(1, 5))
+    eps = float(rng.choice([1e-2, 1e-3]))
+    mats = tuple(helpers.random_symmetric(rng, n) for _ in range(m))
+    stack = np.stack(mats)
+    d = rng.standard_normal(m)
+    d /= np.linalg.norm(d)
+    vals, vecs = np.linalg.eigh(np.tensordot(d, stack, axes=1))
+    top = np.einsum("kij,i,j->k", stack, vecs[:, -1], vecs[:, -1])
+    # pushing the target raises R by at most the push, so dividing by
+    # 1 - 2 eps keeps the push above eps * R at the pushed target
+    base = ShmInstance(mats, top).radius_bound
+    depth = float(rng.uniform(1.1, 2.0)) * eps * base / (1.0 - 2.0 * eps)
+    inst = ShmInstance(mats, top + depth * d)
+    assert float(d @ inst.b) - vals[-1] > eps * inst.radius_bound
+    witnesses = 0
+    for solve in (solve_shm, solve_shm_cached):
+        cert = solve(inst, eps, seed=seed)
+        assert cert.kind != FEASIBLE
+        if cert.kind != WITNESS:
+            continue
+        witnesses += 1
+        assert cert.eig_margin > 0.0
+        asm = assemble_pivot_matrix(inst, cert.point)
+        lam, _, delta = certified_min_eig(asm.matrix)
+        assert lam - delta - asm.threshold > 0.0
+        report = verify_certificate(inst, cert, sample_count=200, seed=seed)
+        assert report.passed, report.checks
+    assert witnesses >= 1

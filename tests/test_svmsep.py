@@ -1,5 +1,7 @@
 """Intersection and separation of two spectrahull image sets."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from spectrahull import (
     INTERSECTING,
     SEPARATED,
     ShmInstance,
+    certified_min_eig,
     image,
     solve_separation,
 )
@@ -41,6 +44,17 @@ def test_disjoint_intervals_certify_without_moving():
     assert cert.hyperplane.offset == pytest.approx(9.0)
     assert cert.left_margin == pytest.approx(3.0)
     assert cert.right_margin == pytest.approx(3.0)
+
+
+def test_margin_within_error_bound_ends_inconclusive(monkeypatch):
+    # an error bound as wide as the spectrum leaves no absence certifiable
+    monkeypatch.setattr(
+        "spectrahull.shm.certified_min_eig",
+        lambda a, bar=None: certified_min_eig(a, bar)[:2] + (math.inf,),
+    )
+    cert = solve_separation(LEFT_LOW, RIGHT_HIGH, 1e-4)
+    assert cert.kind == INCONCLUSIVE
+    assert cert.hyperplane is None and cert.left_margin is None
 
 
 def test_disjoint_interval_bisector_classifies_endpoints():
