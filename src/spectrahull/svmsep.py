@@ -1,7 +1,9 @@
 """Distance and separation between two spectrahulls in a shared image space.
 
-Each side keeps its own factored iterate and the two chase each other: a
-pivot query on one side uses the other side's current point as the target.
+Each side keeps its own dense iterate, shared with the membership solver, and
+the two chase each other: a pivot query on one side uses the other side's
+current image as the target.  Factors are built only for the returned pair,
+at most min(m+1, n) per side.
 When both sides certify pivot absence against each other in the same sweep,
 the bisector of the connecting segment strictly separates the hulls.  When
 the connecting segment collapses within tolerance, the hulls intersect.
@@ -177,8 +179,6 @@ def solve_separation(
             alpha = min(1.0, max(0.0, float((other.image - it.image) @ d) / dd))
             it.apply(out.vector, v_img, alpha)
             iterations += 1
-            if it.prune_if_needed():
-                stats.prunes += 1
             last_success = k
             stepped = True
             break

@@ -1,4 +1,4 @@
-"""Dense symmetric-matrix primitives and the factored spectraplex iterate.
+"""Dense symmetric-matrix primitives and factored spectraplex points.
 
 Everything downstream (pivot search, membership certificates, separation)
 works with three objects defined here: symmetric matrices, instances pairing
@@ -62,6 +62,17 @@ class SymmetricMatrix:
         if skew > ASYMMETRY_TOL * float(np.linalg.norm(a)):
             raise ValueError(f"matrix is asymmetric beyond tolerance (max skew {skew:g})")
         object.__setattr__(self, "entries", _freeze(0.5 * (a + a.T)))
+
+    @classmethod
+    def _symmetrized(cls, a: np.ndarray) -> "SymmetricMatrix":
+        """Wrap the exact symmetrization (A + A^T)/2 without the input checks.
+
+        Only for combinations of already validated matrices, which are finite
+        and symmetric up to the rounding of the combination itself.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "entries", _freeze(0.5 * (a + a.T)))
+        return out
 
     @property
     def n(self) -> int:
@@ -237,8 +248,10 @@ def rank_one_image(instance: ShmInstance, v) -> np.ndarray:
 
 
 def _term_images(instance: ShmInstance, vectors: np.ndarray) -> np.ndarray:
-    # one row per factor: row t holds (v_t^T A_k v_t) for k = 1..m
-    return np.einsum("kij,ti,tj->tk", instance.stack, vectors, vectors, optimize=True)
+    # one row per factor: row t holds (v_t^T A_k v_t) for k = 1..m.  Two
+    # operands through matmul: einsum's contraction planner costs more than
+    # the whole product at the orders solved here
+    return np.einsum("ktj,tj->tk", np.matmul(vectors[None], instance.stack), vectors)
 
 
 def image(instance: ShmInstance, point: SpectraplexPoint) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spectrahull.eigen
 from spectrahull import (
     FEASIBLE,
     INCONCLUSIVE,
@@ -23,11 +24,14 @@ from spectrahull import (
     pivot_oracle,
     prune_representation,
     rank_one_image,
+    solve_separation,
     solve_shm,
     solve_shm_cached,
     verify_certificate,
 )
-from spectrahull.shm import _make_assembly
+from spectrahull import shm
+from spectrahull.chm import NOISE_FLOOR
+from spectrahull.shm import _Iterate, _make_assembly
 
 import helpers
 
@@ -74,6 +78,19 @@ def test_assembly_two_constraint_example():
 def test_assembly_requires_bound_point():
     with pytest.raises(ValueError):
         assemble_pivot_matrix(INTERVAL, E1)
+
+
+def test_pivot_matrix_is_the_exact_symmetrization():
+    rng = np.random.default_rng(4)
+    inst = ShmInstance(
+        tuple(helpers.random_symmetric(rng, 6) for _ in range(4)), rng.standard_normal(4)
+    )
+    asm = _make_assembly(inst, rng.standard_normal(4))
+    raw = np.tensordot(asm.resid, inst.stack, axes=1)
+    entries = asm.matrix.entries
+    assert np.array_equal(entries, 0.5 * (raw + raw.T))
+    assert np.array_equal(entries, entries.T)
+    assert not entries.flags.writeable
 
 
 def test_assembly_strict_threshold():
@@ -298,6 +315,34 @@ def test_solve_mode_cached_alias():
     assert a.oracle_calls == b.oracle_calls
 
 
+def test_strict_misses_reuse_their_work(monkeypatch):
+    """On these outside targets strict queries keep missing the strict bar,
+    and each settles for the plain bar from the power probes or the one
+    eigendecomposition it already paid for: the same verdicts with as many
+    eigendecompositions as plain queries."""
+    calls = [0]
+    real = spectrahull.eigen.jacobi_eigen
+
+    def counted(a):
+        calls[0] += 1
+        return real(a)
+
+    monkeypatch.setattr(spectrahull.eigen, "jacobi_eigen", counted)
+    rng = np.random.default_rng(7)
+    cases = [helpers.random_diagonal_case(rng, inside=False)[0] for _ in range(40)]
+    runs = {}
+    for strict in (False, True):
+        calls[0] = 0
+        certs = [solve_shm(inst, 1e-4, strict=strict) for inst in cases]
+        runs[strict] = (calls[0], certs)
+    assert runs[True][0] == runs[False][0]
+    for inst, plain, strict in zip(cases, runs[False][1], runs[True][1]):
+        assert plain.kind == strict.kind == WITNESS
+        assert strict.eig_margin > 0.0
+        assert verify_certificate(inst, strict, sample_count=200).passed
+    assert sum(c.stats.strict_fallbacks for c in runs[True][1]) > 0
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_cached_and_plain_verdicts_never_contradict(seed):
@@ -375,6 +420,126 @@ def test_prune_contract_random(seed):
     assert out.num_terms <= limit
     assert np.linalg.norm(image(inst, out) - before) <= 1e-9 * inst.radius_bound
     out.validate()
+
+
+# -------------------------------------------------------------- dense iterate
+
+
+def _dense_image(inst, point):
+    """Image by dense contraction, independent of the factor kernel."""
+    return np.einsum("kij,ij->k", inst.stack, point.dense())
+
+
+def _random_case(rng, n, m):
+    mats = tuple(helpers.random_symmetric(rng, n) for _ in range(m))
+    if rng.random() < 0.5:
+        lam = rng.dirichlet(np.ones(n))
+        vs = helpers.random_unit_vectors(rng, n, n)
+        return mats, lam @ np.einsum("kij,ti,tj->tk", np.stack(mats), vs, vs)
+    return mats, rng.standard_normal(m) * 2.0
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_certificates_carry_at_most_the_caratheodory_count(seed):
+    """Each result is factored with at most min(m+1, n) terms whose image
+    reproduces the reported gap; a Feasible one lands in the solver's ball."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    m = int(rng.integers(1, 7))
+    mats, b = _random_case(rng, n, m)
+    inst = ShmInstance(mats, b)
+    ball = 1e-4 * inst.radius_bound + NOISE_FLOOR * (1.0 + float(np.linalg.norm(b)))
+    for mode in ("power", "exact", "cached"):
+        cert = solve_shm(inst, 1e-4, max_iters=20_000, mode=mode, seed=seed)
+        assert cert.point.num_terms <= min(m + 1, n), mode
+        gap = float(np.linalg.norm(_dense_image(inst, cert.point) - b))
+        assert abs(gap - cert.gap) <= 1e-9 * inst.radius_bound, mode
+        if cert.kind == FEASIBLE:
+            assert gap <= ball, mode
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_separation_pairs_carry_at_most_the_caratheodory_count(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 5))
+    sides = []
+    for _ in range(2):
+        n = int(rng.integers(1, 7))
+        shift = rng.uniform(-2.0, 2.0)
+        sides.append(tuple(helpers.random_symmetric(rng, n) + shift * np.eye(n) for _ in range(m)))
+    cert = solve_separation(sides[0], sides[1], 1e-3, max_iters=20_000, seed=seed)
+    images = []
+    for mats, point in zip(sides, (cert.pair.left, cert.pair.right)):
+        inst = ShmInstance(mats, np.zeros(m))
+        assert point.num_terms <= min(m + 1, inst.n)
+        images.append(_dense_image(inst, point))
+    gap = float(np.linalg.norm(images[0] - images[1]))
+    assert abs(gap - cert.pair.gap) <= 1e-9 * cert.scale
+
+
+def test_feasible_walk_continues_past_factoring_drift(monkeypatch):
+    """A factored point outside the ball is never returned as Feasible."""
+    real = shm._prune_arrays
+    calls = []
+
+    def drifting(instance, w, v, ti):
+        w, v, ti = real(instance, w, v, ti)
+        calls.append(w.size)
+        if len(calls) == 1:  # once, keep only the heaviest factor
+            j = int(np.argmax(w))
+            return np.ones(1), v[j : j + 1], ti[j : j + 1]
+        return w, v, ti
+
+    monkeypatch.setattr(shm, "_prune_arrays", drifting)
+    cert = solve_shm(INTERVAL, 1e-6, mode="exact", start=E1)
+    # unperturbed, one step lands on (e1 e1^T + e3 e3^T) / 2 and stops
+    assert calls[0] == 2
+    assert len(calls) >= 2
+    assert cert.kind == FEASIBLE
+    assert cert.iterations >= 2
+    gap = abs(float(_dense_image(INTERVAL, cert.point)[0]) - 2.0)
+    assert gap <= 1e-6 * cert.radius_bound
+    assert gap == pytest.approx(cert.gap, abs=1e-12)
+
+
+def test_long_walk_keeps_its_image_on_the_iterate(monkeypatch):
+    """Over more than 1e4 steps the carried image, the dense iterate and the
+    certificate's factors all stay within 1e-9 R of an extended-precision
+    replay of the same steps."""
+    steps = []
+    seen = []
+    real_apply, real_snapshot = _Iterate.apply, _Iterate.snapshot
+
+    def recording_apply(self, vector, v_image, alpha):
+        steps.append((np.array(vector), alpha))
+        real_apply(self, vector, v_image, alpha)
+
+    def recording_snapshot(self):
+        seen.append((self.image.copy(), self.x.copy()))
+        return real_snapshot(self)
+
+    monkeypatch.setattr(_Iterate, "apply", recording_apply)
+    monkeypatch.setattr(_Iterate, "snapshot", recording_snapshot)
+    # square corners (+-1, +-1), target on an edge: the cached solver creeps
+    inst = helpers.diagonal_instance(
+        np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]]), [1.0, 0.3]
+    )
+    cert = solve_shm_cached(inst, 1e-4)
+    assert cert.kind == FEASIBLE
+    assert cert.iterations > 10_000
+    x = np.full((4, 4), 0.25, dtype=np.longdouble)  # the rank-one start
+    for v, alpha in steps:
+        v = v.astype(np.longdouble)
+        x = (1 - np.longdouble(alpha)) * x + np.longdouble(alpha) * np.outer(v, v)
+    stack = inst.stack.astype(np.longdouble)
+    replay = np.einsum("kij,ij->k", stack, x).astype(float)
+    carried, dense_x = seen[-1]
+    tol = 1e-9 * inst.radius_bound
+    assert np.linalg.norm(carried - replay) <= tol
+    assert np.linalg.norm(np.einsum("kij,ij->k", inst.stack, dense_x) - replay) <= tol
+    assert np.linalg.norm(_dense_image(inst, cert.point) - replay) <= tol
 
 
 # ----------------------------------------------------------------- verify

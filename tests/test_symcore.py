@@ -18,6 +18,7 @@ from spectrahull import (
     radius_bound,
     rank_one_image,
 )
+from spectrahull.symcore import _term_images
 
 import helpers
 
@@ -196,6 +197,30 @@ def test_image_matches_dense_contraction(seed):
     dense = p.dense()
     expect = np.array([np.vdot(a, dense) for a in mats])
     assert np.allclose(image(inst, p), expect, atol=1e-10 * max(1.0, inst.radius_bound))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_term_images_kernel_matches_dense_contraction(seed):
+    """Row t, column k of the kernel is tr(A_k v_t v_t^T) to 1e-12 relative.
+
+    Relative to ||A_k||_F ||v_t||^2, which bounds the contraction's terms.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 41))
+    m = int(rng.integers(1, 13))
+    t = int(rng.integers(1, 13))
+    scale = 10.0 ** rng.uniform(-6.0, 6.0)
+    mats = tuple(helpers.random_symmetric(rng, n, scale=scale) for _ in range(m))
+    inst = ShmInstance(mats, np.zeros(m))
+    vectors = rng.standard_normal((t, n))
+    got = _term_images(inst, vectors)
+    assert got.shape == (t, m)
+    for row, v in zip(got, vectors):
+        outer = np.outer(v, v)
+        for k, a in enumerate(inst.stack):
+            expect = float(np.trace(a @ outer))
+            assert abs(row[k] - expect) <= 1e-12 * float(np.linalg.norm(a)) * float(v @ v)
 
 
 @given(small_symmetric())
