@@ -113,7 +113,6 @@ class ChmCertificate:
     iterations: int
     hyperplane: Hyperplane | None = None
     strict_fallbacks: int = 0
-    widening_steps: int = 0
 
 
 def default_iteration_cap(epsilon: float) -> int:
@@ -162,6 +161,11 @@ def ta_step(p0, p_prime, v):
     p0 = np.asarray(p0, dtype=float).reshape(-1)
     pp = np.asarray(p_prime, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
+    return _ta_step(p0, pp, v)
+
+
+def _ta_step(p0: np.ndarray, pp: np.ndarray, v: np.ndarray):
+    """``ta_step`` on flat float arrays, unchecked: the step every walk takes."""
     d = v - pp
     dd = float(d @ d)
     if dd == 0.0:
@@ -219,20 +223,18 @@ def solve_chm(
     p = pts[start].copy()
     target = epsilon * radius + NOISE_FLOOR * (1.0 + float(np.linalg.norm(p0)))
     fallbacks = 0
-    widened = 0
-    widen_factor = math.sqrt(1.0 + epsilon)
     iterations = 0
     while True:
         gap = float(np.linalg.norm(p - p0))
         if gap <= target:
             return ChmCertificate(
                 FEASIBLE, ChmIterate(coeffs, p), gap, radius, epsilon, iterations,
-                strict_fallbacks=fallbacks, widening_steps=widened,
+                strict_fallbacks=fallbacks,
             )
         if iterations >= max_iters:
             return ChmCertificate(
                 INCONCLUSIVE, ChmIterate(coeffs, p), gap, radius, epsilon, iterations,
-                strict_fallbacks=fallbacks, widening_steps=widened,
+                strict_fallbacks=fallbacks,
             )
         hit = find_pivot(point_set, p0, p, strict=strict)
         if hit is None and strict:
@@ -243,20 +245,18 @@ def solve_chm(
             hp = Hyperplane(p - p0, 0.5 * float((p - p0) @ (p + p0)))
             return ChmCertificate(
                 WITNESS, ChmIterate(coeffs, p), gap, radius, epsilon, iterations,
-                hyperplane=hp, strict_fallbacks=fallbacks, widening_steps=widened,
+                hyperplane=hp, strict_fallbacks=fallbacks,
             )
         idx, v = hit
-        if np.array_equal(v, p):
+        try:
+            p, alpha = _ta_step(p0, p, v)
+        except DegeneratePivotError:
             # a true pivot never equals the iterate, so this selection means
             # the remaining gap is float noise; the iterate is as good as done
             return ChmCertificate(
                 FEASIBLE, ChmIterate(coeffs, p), gap, radius, epsilon, iterations,
-                strict_fallbacks=fallbacks, widening_steps=widened,
+                strict_fallbacks=fallbacks,
             )
-        # diagnostic only: count steps where the pivot sits on the wide side
-        if np.linalg.norm(p - v) >= widen_factor * np.linalg.norm(p0 - v):
-            widened += 1
-        p, alpha = ta_step(p0, p, v)
         coeffs *= 1.0 - alpha
         coeffs[idx] += alpha
         iterations += 1

@@ -14,6 +14,7 @@ inconclusive or failed verification, 3 usage error, 4 problem parse error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -234,20 +235,39 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _ranged(kind, accept, rule: str):
+    """An argparse type: ``kind`` of the text, rejected unless ``accept``."""
+
+    def convert(text: str):
+        val = kind(text)
+        if not accept(val):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return val
+
+    convert.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return convert
+
+
+_FRACTION = _ranged(float, lambda x: 0.0 < x < 1.0, "in (0, 1)")
+_POSITIVE = _ranged(float, lambda x: math.isfinite(x) and x > 0.0, "finite and positive")
+_COUNT = _ranged(int, lambda k: k >= 0, "non-negative")
+
+
 def _add_common(sub, with_solve_flags: bool):
     sub.add_argument("--input", required=True, help="problem file path")
-    sub.add_argument("--epsilon", type=float, default=1e-2)
+    sub.add_argument("--epsilon", type=_FRACTION if with_solve_flags else _POSITIVE,
+                     default=1e-2)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--pivot-mode", choices=("cached", "power", "exact"), default="cached")
     sub.add_argument("--output", default=None, help="also write the report to this file")
     if with_solve_flags:
-        sub.add_argument("--max-iters", type=int, default=None,
+        sub.add_argument("--max-iters", type=_COUNT, default=None,
                          help="pivot-step budget (default 64/epsilon^2)")
         sub.add_argument("--start", choices=("rankone-e", "identity"), default="rankone-e")
         sub.add_argument("--strict", action="store_true")
-        sub.add_argument("--verify", type=int, default=None, metavar="SAMPLES")
+        sub.add_argument("--verify", type=_COUNT, default=None, metavar="SAMPLES")
     else:
-        sub.add_argument("--max-iters", type=int, default=200_000,
+        sub.add_argument("--max-iters", type=_COUNT, default=200_000,
                          help="pivot-step budget per probe")
 
 

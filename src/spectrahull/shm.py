@@ -1,10 +1,12 @@
 """Membership of a target vector in the image of the spectraplex.
 
-The solver walks a dense iterate X toward the target: assemble the
-residual-weighted pivot matrix, ask an escalating oracle (cache scan, shifted
-power probe, LAPACK eigendecomposition) for a direction whose quadratic form
-clears the pivot bar, and take the distance-minimizing convex step, a rank-one
-update of X.  Factors are built only when a result leaves the walk: one
+The solver walks a dense iterate X toward the target with the step engine
+``_Iterate.step``, which the separation driver also uses with a moving
+target: assemble the residual-weighted pivot matrix, ask an escalating oracle
+(pivot-cache scan when the run keeps a cache, shifted power probe, LAPACK
+eigendecomposition) for a direction whose quadratic form clears the pivot
+bar, and take ``chm``'s distance-minimizing convex step, a rank-one update of
+X.  Factors are built only when a result leaves the walk: one
 eigendecomposition of X, then affine elimination down to min(m+1, n) terms
 (the semidefinite Caratheodory bound).  Absence of a pivot is certified by a
 smallest eigenvalue that clears the pivot bar by more than its rigorous error
@@ -26,8 +28,10 @@ from .chm import (
     INCONCLUSIVE,
     NOISE_FLOOR,
     WITNESS,
+    DegeneratePivotError,
     Hyperplane,
     PointSet,
+    _ta_step,
     default_iteration_cap,
     find_pivot,
 )
@@ -61,7 +65,7 @@ logger = logging.getLogger(__name__)
 TERM_DROP_EPS = 1e-14
 CACHE_COS_TOL = 1e-9
 MERGE_COS_TOL = 1e-12
-ORACLE_MODES = ("power", "exact", "cached-first")
+ORACLE_MODES = ("power", "exact")
 
 
 @dataclass
@@ -198,11 +202,11 @@ def pivot_oracle(
 ) -> PivotOutcome:
     """Search the spectraplex for a pivot direction.
 
-    Escalation order in cached-first mode: scan the cache images with the
-    finite-set pivot rule (no matrix work at all), then the shifted power
-    probe with one restart, then a full LAPACK eigendecomposition
-    (``method="jacobi"``).  ``power`` skips the scan, ``exact`` goes straight
-    to the eigendecomposition.  Only a ``found=False`` outcome pays for the
+    A non-empty ``cache`` is scanned first, with the finite-set pivot rule on
+    its images (no matrix work at all).  On a miss, mode ``power`` runs the
+    shifted power probe with one restart and then a full LAPACK
+    eigendecomposition (``method="jacobi"``); ``exact`` goes straight to the
+    eigendecomposition.  Only a ``found=False`` outcome pays for the
     eigenvalue error bound; it is ``certified`` when the smallest eigenvalue
     clears the bar by more than that bound.
 
@@ -218,7 +222,7 @@ def pivot_oracle(
         raise ValueError(f"unknown oracle mode {mode!r}")
     plain = assembly.threshold
     thr = assembly.strict_threshold if strict else plain
-    if mode == "cached-first" and cache is not None and len(cache) > 0:
+    if cache is not None and len(cache) > 0:
         hit = find_pivot(cache.point_set(), assembly.target, assembly.p_image, strict=strict)
         if hit is not None:
             idx, img = hit
@@ -259,6 +263,9 @@ def pivot_oracle(
 
 @dataclass
 class SolveStats:
+    """Pivot-query tallies of one run; cache hits are not oracle calls."""
+
+    oracle_calls: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     strict_fallbacks: int = 0
@@ -325,10 +332,35 @@ class _Iterate:
             raise ValueError("start point order does not match the instance")
         return cls(instance, point)
 
-    def apply(self, vector: np.ndarray, v_image: np.ndarray, alpha: float) -> None:
+    def step(self, target, oracle_mode, cache, gen, strict, stats):
+        """One pivot query against ``target`` and, if it finds a pivot, the
+        step toward it.  Returns the oracle outcome and the assembly it
+        answered; raises ``DegeneratePivotError`` when the pivot's image
+        equals the iterate's."""
+        asm = _make_assembly(self.instance, self.image, target)
+        out = pivot_oracle(asm, oracle_mode, cache, gen, strict=strict)
+        hit = out.method == "cache"
+        stats.oracle_calls += not hit
+        if cache is not None:
+            stats.cache_hits += hit
+            stats.cache_misses += not hit
+        stats.jacobi_certs += out.method == "jacobi"
+        stats.strict_fallbacks += strict and out.found and out.threshold > asm.strict_threshold
+        if out.found:
+            if hit:
+                v_img = cache.images[out.cache_index]
+            else:
+                v_img = rank_one_image(self.instance, out.vector)
+                if cache is not None:
+                    cache.add(out.vector, v_img)
+            new_image, alpha = _ta_step(target, self.image, v_img)
+            self.apply(out.vector, new_image, alpha)
+        return out, asm
+
+    def apply(self, vector: np.ndarray, new_image: np.ndarray, alpha: float) -> None:
         self.x *= 1.0 - alpha
         self.x += alpha * np.outer(vector, vector)
-        self.image = (1.0 - alpha) * self.image + alpha * v_image
+        self.image = new_image
 
     def snapshot(self) -> SpectraplexPoint:
         """Factor X with at most min(m+1, n) terms.
@@ -435,17 +467,13 @@ def prune_representation(instance: ShmInstance, point: SpectraplexPoint) -> Spec
     return SpectraplexPoint(w, v, image=w @ ti, term_images=ti)
 
 
-def _search_pivot(assembly, oracle_mode, cache, gen, strict, stats):
-    """One pivot query; strict queries that settle for the plain bar count
-    as fallbacks.
-
-    Returns the outcome together with the number of eigen engagements it
-    cost (cache hits are free).
-    """
-    out = pivot_oracle(assembly, oracle_mode, cache, gen, strict=strict)
-    if strict and out.found and out.threshold > assembly.strict_threshold:
-        stats.strict_fallbacks += 1
-    return out, 0 if out.method == "cache" else 1
+def _oracle_setup(mode: str):
+    """The oracle mode and a fresh pivot cache, or None, for a solve mode."""
+    if mode == "cached":
+        return "power", PivotCache()
+    if mode in ORACLE_MODES:
+        return mode, None
+    raise ValueError(f"unknown solve mode {mode!r}")
 
 
 def _run(instance, epsilon, max_iters, oracle_mode, seed, start, strict, cache):
@@ -459,69 +487,45 @@ def _run(instance, epsilon, max_iters, oracle_mode, seed, start, strict, cache):
     radius = instance.radius_bound
     target_gap = epsilon * radius + NOISE_FLOOR * (1.0 + float(np.linalg.norm(b)))
     stats = SolveStats()
-    oracle_calls = 0
     iterations = 0
+
+    def certificate(kind, point, gap, **extra):
+        return Certificate(
+            kind, point, gap, epsilon, radius, iterations, stats.oracle_calls,
+            stats=stats, cache=cache, **extra,
+        )
+
     while True:
         gap = float(np.linalg.norm(it.image - b))
         if gap <= target_gap:
             pt = it.snapshot()
             exact_gap = float(np.linalg.norm(pt.image - b))
             if exact_gap <= target_gap:
-                return Certificate(
-                    FEASIBLE, pt, exact_gap, epsilon, radius, iterations, oracle_calls,
-                    stats=stats, cache=cache,
-                )
+                return certificate(FEASIBLE, pt, exact_gap)
             # factoring moved the image out of the ball: keep walking
         if iterations >= max_iters:
-            return Certificate(
-                INCONCLUSIVE, it.snapshot(), gap, epsilon, radius, iterations,
-                oracle_calls, stats=stats, cache=cache,
-            )
-        asm = _make_assembly(instance, it.image)
-        out, calls = _search_pivot(asm, oracle_mode, cache, gen, strict, stats)
-        oracle_calls += calls
-        if cache is not None:
-            if out.method == "cache":
-                stats.cache_hits += 1
-            else:
-                stats.cache_misses += 1
-        if out.method == "jacobi":
-            stats.jacobi_certs += 1
-        if not out.found:
-            if not out.certified:
-                # no pivot, but the bar lies within the eigenvalue error bound
-                return Certificate(
-                    INCONCLUSIVE, it.snapshot(), gap, epsilon, radius, iterations,
-                    oracle_calls, stats=stats, cache=cache,
-                )
-            hp = Hyperplane(asm.resid.copy(), asm.threshold)
-            return Certificate(
-                WITNESS, it.snapshot(), gap, epsilon, radius, iterations, oracle_calls,
-                hyperplane=hp, eig_margin=out.margin, stats=stats, cache=cache,
-            )
-        v = out.vector
-        if out.method == "cache":
-            v_img = cache.images[out.cache_index].copy()
-        else:
-            v_img = rank_one_image(instance, v)
-            if cache is not None:
-                cache.add(v, v_img)
-        d = v_img - it.image
-        dd = float(d @ d)
-        if dd == 0.0:
+            return certificate(INCONCLUSIVE, it.snapshot(), gap)
+        try:
+            out, asm = it.step(b, oracle_mode, cache, gen, strict, stats)
+        except DegeneratePivotError:
             # a true pivot never shares the iterate's image; reaching here
             # means the residual is float noise and the point is as good as
             # done, provided its factors still land in the ball
             pt = it.snapshot()
             exact_gap = float(np.linalg.norm(pt.image - b))
-            kind = FEASIBLE if exact_gap <= target_gap else INCONCLUSIVE
-            return Certificate(
-                kind, pt, exact_gap, epsilon, radius, iterations, oracle_calls,
-                stats=stats, cache=cache,
+            return certificate(
+                FEASIBLE if exact_gap <= target_gap else INCONCLUSIVE, pt, exact_gap
             )
-        alpha = min(1.0, max(0.0, float((b - it.image) @ d) / dd))
-        it.apply(v, v_img, alpha)
-        iterations += 1
+        if out.found:
+            iterations += 1
+        elif out.certified:
+            hp = Hyperplane(asm.resid.copy(), asm.threshold)
+            return certificate(
+                WITNESS, it.snapshot(), gap, hyperplane=hp, eig_margin=out.margin
+            )
+        else:
+            # no pivot, but the bar lies within the eigenvalue error bound
+            return certificate(INCONCLUSIVE, it.snapshot(), gap)
 
 
 def solve_shm(
@@ -545,8 +549,9 @@ def solve_shm(
     max_iters : int, optional
         Pivot-step budget, defaulting to the worst-case feasible cap.
     mode : str
-        Pivot oracle mode, ``power`` (probe then exact) or ``exact``;
-        ``cached`` delegates to :func:`solve_shm_cached`.
+        ``power`` (probe, then eigendecomposition), ``exact``
+        (eigendecomposition only) or ``cached`` (a scan of the run's
+        earlier pivots ahead of ``power``; the certificate carries the cache).
     seed : int or numpy Generator
         Drives the power-probe start vectors only.
     start : str or SpectraplexPoint
@@ -555,11 +560,8 @@ def solve_shm(
     strict : bool
         Prefer strict pivots, falling back to plain ones.
     """
-    if mode == "cached":
-        return solve_shm_cached(instance, epsilon, max_iters, seed, start=start, strict=strict)
-    if mode not in ("power", "exact"):
-        raise ValueError(f"unknown solve mode {mode!r}")
-    return _run(instance, epsilon, max_iters, mode, seed, start, strict, cache=None)
+    oracle_mode, cache = _oracle_setup(mode)
+    return _run(instance, epsilon, max_iters, oracle_mode, seed, start, strict, cache)
 
 
 def solve_shm_cached(
@@ -570,14 +572,14 @@ def solve_shm_cached(
     start="rankone-e",
     strict: bool = False,
 ) -> Certificate:
-    """Membership with the image-cache driver.
+    """``solve_shm`` with ``mode="cached"``.
 
     Every iteration first scans previously seen pivot directions through the
     finite-set pivot rule on their cached images, touching eigen machinery
     only on a scan miss.  Witness outcomes are still certified over the full
     spectraplex, never from the cache alone.
     """
-    return _run(instance, epsilon, max_iters, "cached-first", seed, start, strict, PivotCache())
+    return solve_shm(instance, epsilon, max_iters, "cached", seed, start, strict)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Distance and separation between two spectrahulls in a shared image space.
 
-Each side keeps its own dense iterate, shared with the membership solver, and
-the two chase each other: a pivot query on one side uses the other side's
-current image as the target.  Factors are built only for the returned pair,
-at most min(m+1, n) per side.
-When both sides certify pivot absence against each other in the same sweep,
-the bisector of the connecting segment strictly separates the hulls.  When
+Each side keeps its own dense iterate and pivot cache, if the mode keeps
+one, and the two chase each other: a side steps with the membership solver's
+step engine, ``_Iterate.step``, aiming at the other side's current image
+instead of a fixed target.  This module adds only the sweep order and the
+verdicts.  Factors are built only for the returned pair, at most min(m+1, n)
+per side.  When both sides certify pivot absence against each other in the
+same sweep, the bisector of the connecting segment strictly separates the hulls.  When
 the connecting segment collapses within tolerance, the hulls intersect.
 """
 
@@ -15,9 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chm import INCONCLUSIVE, Hyperplane, default_iteration_cap
-from .shm import PivotCache, SolveStats, _Iterate, _make_assembly, _search_pivot
-from .symcore import ShmInstance, SpectraplexPoint, SymmetricMatrix, rank_one_image
+from .chm import INCONCLUSIVE, DegeneratePivotError, Hyperplane, default_iteration_cap
+from .shm import SolveStats, _Iterate, _oracle_setup
+from .symcore import ShmInstance, SpectraplexPoint, SymmetricMatrix
+
+# not called here (the kernel runs in shm's step engine), but perfbench
+# --trace 1 wraps this name; ROADMAP item 4 drops it
+from .symcore import rank_one_image  # noqa: F401
 
 __all__ = [
     "INTERSECTING",
@@ -98,99 +103,60 @@ def solve_separation(
         raise ValueError("epsilon must lie in (0, 1)")
     if max_iters is None:
         max_iters = default_iteration_cap(epsilon)
-    if mode == "cached":
-        oracle_mode = "cached-first"
-        caches = (PivotCache(), PivotCache())
-    elif mode in ("power", "exact"):
-        oracle_mode = mode
-        caches = (None, None)
-    else:
-        raise ValueError(f"unknown solve mode {mode!r}")
+    (oracle_mode, cache_l), (_, cache_r) = _oracle_setup(mode), _oracle_setup(mode)
+    caches = (cache_l, cache_r)  # one per side
     gen = np.random.default_rng(seed)
     sides = (_Iterate.from_start(inst_l, "rankone-e"), _Iterate.from_start(inst_r, "rankone-e"))
-    insts = (inst_l, inst_r)
     scale = max(inst_l.radius_bound, inst_r.radius_bound)
     tol = epsilon * scale
     stats = SolveStats()
-    oracle_calls = 0
     iterations = 0
     sweep = 0
     last_success: int | None = None
 
-    def snapshot(gap: float) -> PairIterate:
-        return PairIterate(sides[0].snapshot(), sides[1].snapshot(), gap)
+    def certificate(kind: str, gap: float, **extra) -> PairCertificate:
+        pair = PairIterate(sides[0].snapshot(), sides[1].snapshot(), gap)
+        return PairCertificate(
+            kind, pair, epsilon, scale, iterations, stats.oracle_calls, stats=stats, **extra
+        )
 
     while True:
         gap = float(np.linalg.norm(sides[0].image - sides[1].image))
         if gap <= tol:
-            return PairCertificate(
-                INTERSECTING, snapshot(gap), epsilon, scale, iterations, oracle_calls,
-                stats=stats,
-            )
+            return certificate(INTERSECTING, gap)
         if iterations >= max_iters:
-            return PairCertificate(
-                INCONCLUSIVE, snapshot(gap), epsilon, scale, iterations, oracle_calls,
-                stats=stats,
-            )
+            return certificate(INCONCLUSIVE, gap)
         if last_success is None:
             order = (sweep % 2, 1 - sweep % 2)
         else:
             order = (last_success, 1 - last_success)
         sweep += 1
         margins = [None, None]
-        stepped = False
         for k in order:
-            it = sides[k]
-            other = sides[1 - k]
-            asm = _make_assembly(insts[k], it.image, target=other.image)
-            out, calls = _search_pivot(asm, oracle_mode, caches[k], gen, strict, stats)
-            oracle_calls += calls
-            if caches[k] is not None:
-                if out.method == "cache":
-                    stats.cache_hits += 1
-                else:
-                    stats.cache_misses += 1
-            if out.method == "jacobi":
-                stats.jacobi_certs += 1
-            if not out.found:
-                if not out.certified:
-                    # the bar lies within the eigenvalue error bound
-                    return PairCertificate(
-                        INCONCLUSIVE, snapshot(gap), epsilon, scale, iterations,
-                        oracle_calls, stats=stats,
-                    )
-                margins[k] = out.margin
-                continue
-            if out.method == "cache":
-                v_img = caches[k].images[out.cache_index].copy()
-            else:
-                v_img = rank_one_image(insts[k], out.vector)
-                if caches[k] is not None:
-                    caches[k].add(out.vector, v_img)
-            d = v_img - it.image
-            dd = float(d @ d)
-            if dd == 0.0:
+            try:
+                out, _ = sides[k].step(
+                    sides[1 - k].image, oracle_mode, caches[k], gen, strict, stats
+                )
+            except DegeneratePivotError:
                 # a true pivot never shares the iterate's image; selecting one
                 # means the pair gap is float noise and the hulls touch
-                return PairCertificate(
-                    INTERSECTING, snapshot(gap), epsilon, scale, iterations,
-                    oracle_calls, stats=stats,
-                )
-            alpha = min(1.0, max(0.0, float((other.image - it.image) @ d) / dd))
-            it.apply(out.vector, v_img, alpha)
-            iterations += 1
-            last_success = k
-            stepped = True
-            break
-        if stepped:
-            continue
-        # both sides certified in one sweep with nothing moving in between,
-        # so the bisector of the connecting segment separates the hulls
-        p_l, p_r = sides[0].image, sides[1].image
-        normal = p_r - p_l
-        offset = 0.5 * float(normal @ (p_r + p_l))
-        return PairCertificate(
-            SEPARATED, snapshot(gap), epsilon, scale, iterations, oracle_calls,
-            hyperplane=Hyperplane(normal, offset),
-            left_margin=margins[0], right_margin=margins[1], stats=stats,
-        )
+                return certificate(INTERSECTING, gap)
+            if out.found:
+                iterations += 1
+                last_success = k
+                break
+            if not out.certified:
+                # the bar lies within the eigenvalue error bound
+                return certificate(INCONCLUSIVE, gap)
+            margins[k] = out.margin
+        else:
+            # both sides certified in one sweep with nothing moving in
+            # between, so the bisector of the connecting segment separates
+            # the hulls
+            p_l, p_r = sides[0].image, sides[1].image
+            normal = p_r - p_l
+            offset = 0.5 * float(normal @ (p_r + p_l))
+            return certificate(
+                SEPARATED, gap, hyperplane=Hyperplane(normal, offset),
+                left_margin=margins[0], right_margin=margins[1],
+            )

@@ -302,6 +302,23 @@ def test_usage_errors(tmp_path, capsys):
     graph = write(tmp_path, "k2.graph", K2_FILE)
     assert run(["solve", "--input", graph]) == EXIT_USAGE
     capsys.readouterr()
+    witness = write(tmp_path, "outside.shm", SHM_FILE.replace("b 2.0", "b 5.0"))
+    out_of_range = [
+        ["solve", "--input", shm, "--epsilon", "0"],
+        ["solve", "--input", shm, "--epsilon", "1.5"],
+        ["solve", "--input", shm, "--epsilon", "nan"],
+        ["solve", "--input", witness, "--verify", "-5"],
+        ["solve", "--input", shm, "--max-iters", "-1"],
+        ["maxcut", "--input", graph, "--epsilon", "inf"],
+        ["maxcut", "--input", graph, "--epsilon", "nan"],
+        ["maxcut", "--input", graph, "--epsilon", "0"],
+        ["maxcut", "--input", graph, "--max-iters", "-1"],
+    ]
+    for argv in out_of_range:
+        assert run(argv) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: "), argv
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -174,7 +174,7 @@ def test_oracle_cached_first_scan_hit():
     cache.add(np.array([1.0, 0.0, 0.0]), rank_one_image(INTERVAL, [1.0, 0.0, 0.0]))
     cache.add(np.array([0.0, 0.0, 1.0]), rank_one_image(INTERVAL, [0.0, 0.0, 1.0]))
     asm = _make_assembly(INTERVAL, np.array([1.0]))
-    out = pivot_oracle(asm, mode="cached-first", cache=cache)
+    out = pivot_oracle(asm, cache=cache)
     assert out.found
     assert out.method == "cache"
     assert out.cache_index == 1
@@ -185,7 +185,7 @@ def test_oracle_cached_first_scan_hit():
 def test_oracle_cached_first_miss_escalates():
     cache = PivotCache()  # nothing cached yet
     asm = _make_assembly(INTERVAL, np.array([1.0]))
-    out = pivot_oracle(asm, mode="cached-first", cache=cache)
+    out = pivot_oracle(asm, cache=cache)
     assert out.found
     assert out.method in ("power", "jacobi")
 

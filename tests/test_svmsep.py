@@ -24,6 +24,8 @@ RIGHT_HIGH = (np.diag([4.0, 5.0]),)
 LEFT_WIDE = (np.diag([1.0, 3.0]),)
 RIGHT_WIDE = (np.diag([2.0, 5.0]),)
 
+MODES = pytest.mark.parametrize("mode", ["power", "exact", "cached"])
+
 
 def interval_instance(lo, hi):
     return ShmInstance((np.diag([lo, hi]),), np.zeros(1))
@@ -32,11 +34,12 @@ def interval_instance(lo, hi):
 # ------------------------------------------------------------------ separated
 
 
-def test_disjoint_intervals_certify_without_moving():
+@MODES
+def test_disjoint_intervals_certify_without_moving(mode):
     # the uniform starts sit at the interval midpoints (1.5, 4.5), and both
     # already see no pivot against each other, so the first sweep certifies
     # with the bisector crossing at 3
-    cert = solve_separation(LEFT_LOW, RIGHT_HIGH, 1e-4)
+    cert = solve_separation(LEFT_LOW, RIGHT_HIGH, 1e-4, mode=mode)
     assert cert.kind == SEPARATED
     assert cert.iterations == 0
     assert cert.pair.gap == pytest.approx(3.0)
@@ -66,10 +69,11 @@ def test_disjoint_interval_bisector_classifies_endpoints():
         assert hp.side(np.array([v])) > 0.0
 
 
-def test_close_intervals_walk_then_certify_between_hulls():
+@MODES
+def test_close_intervals_walk_then_certify_between_hulls(mode):
     # hulls [1, 2] and [2.5, 5]: the left side must step toward the gap
     # first, and the certified bisector has to land strictly inside it
-    cert = solve_separation((np.diag([1.0, 2.0]),), (np.diag([2.5, 5.0]),), 1e-4)
+    cert = solve_separation((np.diag([1.0, 2.0]),), (np.diag([2.5, 5.0]),), 1e-4, mode=mode)
     assert cert.kind == SEPARATED
     assert cert.left_margin is not None and cert.left_margin > 0.0
     assert cert.right_margin is not None and cert.right_margin > 0.0
@@ -90,14 +94,32 @@ def test_swapping_sides_flips_the_certificate_orientation():
 # ---------------------------------------------------------------- intersecting
 
 
-def test_overlapping_intervals_meet_within_tolerance():
-    cert = solve_separation(LEFT_WIDE, RIGHT_WIDE, 1e-4)
+@MODES
+def test_overlapping_intervals_meet_within_tolerance(mode):
+    cert = solve_separation(LEFT_WIDE, RIGHT_WIDE, 1e-4, mode=mode)
     assert cert.kind == INTERSECTING
     assert cert.pair.gap <= 1e-4 * cert.scale
     left_val = float(image(interval_instance(1.0, 3.0), cert.pair.left)[0])
     right_val = float(image(interval_instance(2.0, 5.0), cert.pair.right)[0])
     assert 1.0 - 1e-9 <= left_val <= 3.0 + 1e-9
     assert 2.0 - 1e-9 <= right_val <= 5.0 + 1e-9
+
+
+@MODES
+def test_overlapping_squares_meet_and_the_cache_answers_repeat_pivots(mode):
+    # two diagonal families whose images are overlapping squares: the chase
+    # returns to corners it has found before, which a cache answers for free
+    def square(x, y):
+        return (np.diag([x, x + 2.0, x, x + 2.0]), np.diag([y, y, y + 2.0, y + 2.0]))
+
+    cert = solve_separation(square(0.0, 0.0), square(1.0, 0.7), 1e-3, mode=mode)
+    assert cert.kind == INTERSECTING
+    assert cert.pair.gap <= 1e-3 * cert.scale
+    if mode == "cached":
+        assert cert.stats.cache_hits > 0
+        assert cert.oracle_calls == cert.stats.cache_misses
+    else:
+        assert cert.stats.cache_hits == cert.stats.cache_misses == 0
 
 
 def test_identical_instances_touch_at_the_start():
@@ -153,20 +175,21 @@ def test_instances_with_targets_are_accepted_and_targets_ignored():
 # ------------------------------------------------------------------ properties
 
 
+@MODES
 @given(st.lists(st.integers(0, 40), min_size=4, max_size=4, unique=True))
 @settings(max_examples=30, deadline=None, derandomize=True)
-def test_interval_verdicts_match_geometry(quarters):
+def test_interval_verdicts_match_geometry(mode, quarters):
     a, b, c, d = sorted(q * 0.25 for q in quarters)
     eps = 1e-3
     left = (np.diag([a, b]),)
     if c - b >= 0.5:
-        cert = solve_separation(left, (np.diag([c, d]),), eps)
+        cert = solve_separation(left, (np.diag([c, d]),), eps, mode=mode)
         assert cert.kind == SEPARATED
         crossing = cert.hyperplane.offset / cert.hyperplane.normal[0]
         assert b < crossing < c
     else:
         # re-anchor the right interval to start inside [a, b]
         mid = 0.5 * (a + b)
-        cert = solve_separation(left, (np.diag([mid, mid + d - c + 0.5]),), eps)
+        cert = solve_separation(left, (np.diag([mid, mid + d - c + 0.5]),), eps, mode=mode)
         assert cert.kind == INTERSECTING
         assert cert.pair.gap <= eps * cert.scale
