@@ -24,7 +24,8 @@ RIGHT_HIGH = (np.diag([4.0, 5.0]),)
 LEFT_WIDE = (np.diag([1.0, 3.0]),)
 RIGHT_WIDE = (np.diag([2.0, 5.0]),)
 
-MODES = pytest.mark.parametrize("mode", ["power", "exact", "cached"])
+SOLVE_MODES = ("power", "exact", "cached")
+MODES = pytest.mark.parametrize("mode", SOLVE_MODES)
 
 
 def interval_instance(lo, hi):
@@ -34,19 +35,19 @@ def interval_instance(lo, hi):
 # ------------------------------------------------------------------ separated
 
 
-@MODES
-def test_disjoint_intervals_certify_without_moving(mode):
+def test_disjoint_intervals_certify_without_moving():
     # the uniform starts sit at the interval midpoints (1.5, 4.5), and both
     # already see no pivot against each other, so the first sweep certifies
     # with the bisector crossing at 3
-    cert = solve_separation(LEFT_LOW, RIGHT_HIGH, 1e-4, mode=mode)
-    assert cert.kind == SEPARATED
-    assert cert.iterations == 0
-    assert cert.pair.gap == pytest.approx(3.0)
-    assert cert.hyperplane.normal[0] == pytest.approx(3.0)
-    assert cert.hyperplane.offset == pytest.approx(9.0)
-    assert cert.left_margin == pytest.approx(3.0)
-    assert cert.right_margin == pytest.approx(3.0)
+    for mode in SOLVE_MODES:
+        cert = solve_separation(LEFT_LOW, RIGHT_HIGH, 1e-4, mode=mode)
+        assert cert.kind == SEPARATED, mode
+        assert cert.iterations == 0, mode
+        assert cert.pair.gap == pytest.approx(3.0), mode
+        assert cert.hyperplane.normal[0] == pytest.approx(3.0), mode
+        assert cert.hyperplane.offset == pytest.approx(9.0), mode
+        assert cert.left_margin == pytest.approx(3.0), mode
+        assert cert.right_margin == pytest.approx(3.0), mode
 
 
 def test_margin_within_error_bound_ends_inconclusive(monkeypatch):
@@ -69,18 +70,18 @@ def test_disjoint_interval_bisector_classifies_endpoints():
         assert hp.side(np.array([v])) > 0.0
 
 
-@MODES
-def test_close_intervals_walk_then_certify_between_hulls(mode):
+def test_close_intervals_walk_then_certify_between_hulls():
     # hulls [1, 2] and [2.5, 5]: the left side must step toward the gap
     # first, and the certified bisector has to land strictly inside it
-    cert = solve_separation((np.diag([1.0, 2.0]),), (np.diag([2.5, 5.0]),), 1e-4, mode=mode)
-    assert cert.kind == SEPARATED
-    assert cert.left_margin is not None and cert.left_margin > 0.0
-    assert cert.right_margin is not None and cert.right_margin > 0.0
-    crossing = cert.hyperplane.offset / cert.hyperplane.normal[0]
-    assert 2.0 - 1e-9 <= crossing <= 2.5 + 1e-9
-    assert cert.hyperplane.side(np.array([2.0])) < 0.0
-    assert cert.hyperplane.side(np.array([2.5])) > 0.0
+    for mode in SOLVE_MODES:
+        cert = solve_separation((np.diag([1.0, 2.0]),), (np.diag([2.5, 5.0]),), 1e-4, mode=mode)
+        assert cert.kind == SEPARATED, mode
+        assert cert.left_margin is not None and cert.left_margin > 0.0, mode
+        assert cert.right_margin is not None and cert.right_margin > 0.0, mode
+        crossing = cert.hyperplane.offset / cert.hyperplane.normal[0]
+        assert 2.0 - 1e-9 <= crossing <= 2.5 + 1e-9, mode
+        assert cert.hyperplane.side(np.array([2.0])) < 0.0, mode
+        assert cert.hyperplane.side(np.array([2.5])) > 0.0, mode
 
 
 def test_swapping_sides_flips_the_certificate_orientation():
@@ -94,15 +95,15 @@ def test_swapping_sides_flips_the_certificate_orientation():
 # ---------------------------------------------------------------- intersecting
 
 
-@MODES
-def test_overlapping_intervals_meet_within_tolerance(mode):
-    cert = solve_separation(LEFT_WIDE, RIGHT_WIDE, 1e-4, mode=mode)
-    assert cert.kind == INTERSECTING
-    assert cert.pair.gap <= 1e-4 * cert.scale
-    left_val = float(image(interval_instance(1.0, 3.0), cert.pair.left)[0])
-    right_val = float(image(interval_instance(2.0, 5.0), cert.pair.right)[0])
-    assert 1.0 - 1e-9 <= left_val <= 3.0 + 1e-9
-    assert 2.0 - 1e-9 <= right_val <= 5.0 + 1e-9
+def test_overlapping_intervals_meet_within_tolerance():
+    for mode in SOLVE_MODES:
+        cert = solve_separation(LEFT_WIDE, RIGHT_WIDE, 1e-4, mode=mode)
+        assert cert.kind == INTERSECTING, mode
+        assert cert.pair.gap <= 1e-4 * cert.scale, mode
+        left_val = float(image(interval_instance(1.0, 3.0), cert.pair.left)[0])
+        right_val = float(image(interval_instance(2.0, 5.0), cert.pair.right)[0])
+        assert 1.0 - 1e-9 <= left_val <= 3.0 + 1e-9, mode
+        assert 2.0 - 1e-9 <= right_val <= 5.0 + 1e-9, mode
 
 
 @MODES
@@ -175,21 +176,21 @@ def test_instances_with_targets_are_accepted_and_targets_ignored():
 # ------------------------------------------------------------------ properties
 
 
-@MODES
 @given(st.lists(st.integers(0, 40), min_size=4, max_size=4, unique=True))
 @settings(max_examples=30, deadline=None, derandomize=True)
-def test_interval_verdicts_match_geometry(mode, quarters):
+def test_interval_verdicts_match_geometry(quarters):
     a, b, c, d = sorted(q * 0.25 for q in quarters)
     eps = 1e-3
     left = (np.diag([a, b]),)
-    if c - b >= 0.5:
-        cert = solve_separation(left, (np.diag([c, d]),), eps, mode=mode)
-        assert cert.kind == SEPARATED
-        crossing = cert.hyperplane.offset / cert.hyperplane.normal[0]
-        assert b < crossing < c
-    else:
-        # re-anchor the right interval to start inside [a, b]
-        mid = 0.5 * (a + b)
-        cert = solve_separation(left, (np.diag([mid, mid + d - c + 0.5]),), eps, mode=mode)
-        assert cert.kind == INTERSECTING
-        assert cert.pair.gap <= eps * cert.scale
+    for mode in SOLVE_MODES:
+        if c - b >= 0.5:
+            cert = solve_separation(left, (np.diag([c, d]),), eps, mode=mode)
+            assert cert.kind == SEPARATED, mode
+            crossing = cert.hyperplane.offset / cert.hyperplane.normal[0]
+            assert b < crossing < c, mode
+        else:
+            # re-anchor the right interval to start inside [a, b]
+            mid = 0.5 * (a + b)
+            cert = solve_separation(left, (np.diag([mid, mid + d - c + 0.5]),), eps, mode=mode)
+            assert cert.kind == INTERSECTING, mode
+            assert cert.pair.gap <= eps * cert.scale, mode
