@@ -120,6 +120,13 @@ def default_iteration_cap(epsilon: float) -> int:
     return int(math.ceil(64.0 / (epsilon * epsilon)))
 
 
+def _bisector(p: np.ndarray, q: np.ndarray):
+    """Normal ``p - q`` and offset of the hyperplane bisecting the segment
+    from q to p; p lies on its positive side, q on its negative side."""
+    normal = p - q
+    return normal, 0.5 * float(normal @ (p + q))
+
+
 def _scan(points: np.ndarray, direction: np.ndarray, threshold: float):
     # greedy rule: take the linear minimizer, accept only if it clears the bar
     scores = points @ direction
@@ -141,11 +148,11 @@ def find_pivot(point_set: PointSet, p0, p_prime, strict: bool = False):
         raise ValueError("empty point set")
     p0 = np.asarray(p0, dtype=float).reshape(-1)
     pp = np.asarray(p_prime, dtype=float).reshape(-1)
-    c = pp - p0
     if strict:
+        c = pp - p0
         threshold = float(c @ p0)
     else:
-        threshold = 0.5 * float(c @ (pp + p0))
+        c, threshold = _bisector(pp, p0)
     idx = _scan(point_set.points, c, threshold)
     if idx is None:
         return None
@@ -242,7 +249,7 @@ def solve_chm(
             if hit is not None:
                 fallbacks += 1
         if hit is None:
-            hp = Hyperplane(p - p0, 0.5 * float((p - p0) @ (p + p0)))
+            hp = Hyperplane(*_bisector(p, p0))
             return ChmCertificate(
                 WITNESS, ChmIterate(coeffs, p), gap, radius, epsilon, iterations,
                 hyperplane=hp, strict_fallbacks=fallbacks,

@@ -9,6 +9,7 @@ the objective value of the cut relaxation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,8 +236,8 @@ def solve_maxcut_relaxation(
     inconclusive probe gets one widened retry before the run aborts with the
     partial bracket.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError("epsilon must be finite and positive")
     n = mc.n
     norm_w = float(np.linalg.norm(mc.weights))
     identity_y = np.eye(n)

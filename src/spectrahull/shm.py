@@ -6,9 +6,10 @@ target: assemble the residual-weighted pivot matrix, ask an escalating oracle
 (pivot-cache scan when the run keeps a cache, shifted power probe, LAPACK
 eigendecomposition) for a direction whose quadratic form clears the pivot
 bar, and take ``chm``'s distance-minimizing convex step, a rank-one update of
-X.  Factors are built only when a result leaves the walk: one
-eigendecomposition of X, then affine elimination down to min(m+1, n) terms
-(the semidefinite Caratheodory bound).  Absence of a pivot is certified by a
+X.  Factors are built only when a result leaves the walk, by ``_factor``
+(which ``prune_representation`` shares): one eigendecomposition of X, then
+affine elimination down to min(m+1, n) terms (the semidefinite Caratheodory
+bound).  Absence of a pivot is certified by a
 smallest eigenvalue that clears the pivot bar by more than its rigorous error
 bound, and converts directly into a separating-hyperplane witness; an
 eigenvalue within its error bound of the bar ends the run inconclusive.
@@ -31,6 +32,7 @@ from .chm import (
     DegeneratePivotError,
     Hyperplane,
     PointSet,
+    _bisector,
     _ta_step,
     default_iteration_cap,
     find_pivot,
@@ -41,6 +43,7 @@ from .symcore import (
     SpectraplexPoint,
     SymmetricMatrix,
     _term_images,
+    bind,
     image,
     rank_one_image,
 )
@@ -64,7 +67,6 @@ logger = logging.getLogger(__name__)
 
 TERM_DROP_EPS = 1e-14
 CACHE_COS_TOL = 1e-9
-MERGE_COS_TOL = 1e-12
 ORACLE_MODES = ("power", "exact")
 
 
@@ -96,9 +98,9 @@ class PivotMatrixAssembly:
 def _make_assembly(instance: ShmInstance, p_image: np.ndarray, target=None) -> PivotMatrixAssembly:
     if target is None:
         target = instance.b
-    resid = p_image - target
-    # algebraically (|p'|^2 - |target|^2)/2, written to survive p' near target
-    threshold = 0.5 * float(resid @ (p_image + target))
+    # the bar is algebraically (|p'|^2 - |target|^2)/2; the bisector's form
+    # survives p' near target
+    resid, threshold = _bisector(p_image, target)
     return PivotMatrixAssembly(instance, target, p_image, resid, threshold)
 
 
@@ -128,7 +130,6 @@ class PivotOutcome:
     threshold: float
     method: str
     cache_index: int | None = None
-    power_iterations: int = 0
     error_bound: float = math.inf  # no bound known: never certified
 
     @property
@@ -197,15 +198,15 @@ def pivot_oracle(
     mode: str = "power",
     cache: PivotCache | None = None,
     rng=0,
-    budget: int | None = None,
     strict: bool = False,
 ) -> PivotOutcome:
     """Search the spectraplex for a pivot direction.
 
     A non-empty ``cache`` is scanned first, with the finite-set pivot rule on
     its images (no matrix work at all).  On a miss, mode ``power`` runs the
-    shifted power probe with one restart and then a full LAPACK
-    eigendecomposition (``method="jacobi"``); ``exact`` goes straight to the
+    shifted power probe at its default budget with one restart, its start
+    vectors drawn from ``rng``, and then a full LAPACK eigendecomposition
+    (``method="jacobi"``); ``exact`` goes straight to the
     eigendecomposition.  Only a ``found=False`` outcome pays for the
     eigenvalue error bound; it is ``certified`` when the smallest eigenvalue
     clears the bar by more than that bound.
@@ -231,34 +232,25 @@ def pivot_oracle(
                 True, cache.vectors[idx].copy(), score, None, thr, "cache", cache_index=idx
             )
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    total_power = 0
     if mode != "exact":
         a = assembly.matrix
         best = None
         for _ in range(2):  # one restart before escalating
-            r = min_eig_power(a, thr, budget, gen)
-            total_power += r.iterations
+            r = min_eig_power(a, thr, rng=gen)
             if r.exited_early:
-                return PivotOutcome(
-                    True, r.vector, r.rayleigh, None, thr, "power", power_iterations=total_power
-                )
+                return PivotOutcome(True, r.vector, r.rayleigh, None, thr, "power")
             if best is None or r.rayleigh < best.rayleigh:
                 best = r
         if strict and best.rayleigh <= plain:
-            return PivotOutcome(
-                True, best.vector, best.rayleigh, None, plain, "power",
-                power_iterations=total_power,
-            )
+            return PivotOutcome(True, best.vector, best.rayleigh, None, plain, "power")
     lam, vec, delta = certified_min_eig(assembly.matrix, thr)
     # perfbench's trace counts the "jacobi" label; ROADMAP item 4 renames it
     if lam <= thr:
-        return PivotOutcome(True, vec, lam, lam, thr, "jacobi", power_iterations=total_power)
+        return PivotOutcome(True, vec, lam, lam, thr, "jacobi")
     if lam <= plain:
-        return PivotOutcome(True, vec, lam, lam, plain, "jacobi", power_iterations=total_power)
+        return PivotOutcome(True, vec, lam, lam, plain, "jacobi")
     # lam clears the strict bar, so delta was computed
-    return PivotOutcome(
-        False, None, None, lam, plain, "jacobi", power_iterations=total_power, error_bound=delta
-    )
+    return PivotOutcome(False, None, None, lam, plain, "jacobi", error_bound=delta)
 
 
 @dataclass
@@ -269,7 +261,6 @@ class SolveStats:
     cache_hits: int = 0
     cache_misses: int = 0
     strict_fallbacks: int = 0
-    jacobi_certs: int = 0
 
 
 @dataclass
@@ -297,29 +288,29 @@ class Certificate:
     cache: PivotCache | None = None
 
 
-def _term_limit(instance: ShmInstance) -> int:
-    return min(instance.m + 1, instance.n)
-
-
 class _Iterate:
-    """Dense iterate X on the spectraplex with its image, factored on demand.
+    """One walk: a dense iterate X on the spectraplex with its image, and the
+    pivot oracle it queries, configured once.
 
-    A step is the rank-one update X <- (1 - alpha) X + alpha v v^T, O(n^2),
-    and the image follows by the same convex combination with the pivot
-    image the step already has.  Both updates shrink earlier rounding by
-    1 - alpha, so the two stay close (within 3e-15 R of each other over a
-    1.5e5-step walk), and a Feasible answer is decided on the factors of X
-    in any case.  Only ``snapshot`` builds factors.
+    The constructor resolves the start (``rankone-e``, ``identity`` or an
+    explicit point) and the solve mode: ``power`` and ``exact`` name the
+    oracle mode, ``cached`` puts a scan of the walk's own ``PivotCache``
+    ahead of ``power``.  A step is the rank-one update
+    X <- (1 - alpha) X + alpha v v^T, O(n^2), and the image follows by the
+    same convex combination with the pivot image the step already has.  Both
+    updates shrink earlier rounding by 1 - alpha, so the two stay close
+    (within 3e-15 R of each other over a 1.5e5-step walk), and a Feasible
+    answer is decided on the factors of X in any case.  Only ``snapshot``
+    builds factors.
     """
 
-    def __init__(self, instance: ShmInstance, point: SpectraplexPoint):
-        self.instance = instance
-        x = point.dense()
-        self.x = 0.5 * (x + x.T)
-        self.image = image(instance, point)
-
-    @classmethod
-    def from_start(cls, instance: ShmInstance, start) -> "_Iterate":
+    def __init__(self, instance: ShmInstance, start, mode: str, gen, strict: bool, stats):
+        if mode == "cached":
+            self.oracle_mode, self.cache = "power", PivotCache()
+        elif mode in ORACLE_MODES:
+            self.oracle_mode, self.cache = mode, None
+        else:
+            raise ValueError(f"unknown solve mode {mode!r}")
         if isinstance(start, SpectraplexPoint):
             point = start
         elif start == "rankone-e":
@@ -330,22 +321,26 @@ class _Iterate:
             raise ValueError(f"unknown start {start!r}")
         if point.n != instance.n:
             raise ValueError("start point order does not match the instance")
-        return cls(instance, point)
+        self.instance = instance
+        self.gen, self.strict, self.stats = gen, strict, stats
+        x = point.dense()
+        self.x = 0.5 * (x + x.T)
+        self.image = image(instance, point)
 
-    def step(self, target, oracle_mode, cache, gen, strict, stats):
+    def step(self, target):
         """One pivot query against ``target`` and, if it finds a pivot, the
         step toward it.  Returns the oracle outcome and the assembly it
         answered; raises ``DegeneratePivotError`` when the pivot's image
         equals the iterate's."""
+        cache, stats = self.cache, self.stats
         asm = _make_assembly(self.instance, self.image, target)
-        out = pivot_oracle(asm, oracle_mode, cache, gen, strict=strict)
+        out = pivot_oracle(asm, self.oracle_mode, cache, self.gen, strict=self.strict)
         hit = out.method == "cache"
         stats.oracle_calls += not hit
         if cache is not None:
             stats.cache_hits += hit
             stats.cache_misses += not hit
-        stats.jacobi_certs += out.method == "jacobi"
-        stats.strict_fallbacks += strict and out.found and out.threshold > asm.strict_threshold
+        stats.strict_fallbacks += self.strict and out.found and out.threshold > asm.strict_threshold
         if out.found:
             if hit:
                 v_img = cache.images[out.cache_index]
@@ -363,33 +358,8 @@ class _Iterate:
         self.image = new_image
 
     def snapshot(self) -> SpectraplexPoint:
-        """Factor X with at most min(m+1, n) terms.
-
-        One eigendecomposition of X gives at most n factors; affine
-        elimination among their images leaves at most m+1.
-        """
-        w, v, ti = _spectral_factors(self.instance, self.x)
-        w, v, ti = _prune_arrays(self.instance, w, v, ti)
-        return SpectraplexPoint(w, v, image=w @ ti, term_images=ti)
-
-
-def _merge_duplicate_factors(w: np.ndarray, v: np.ndarray, ti: np.ndarray):
-    t = w.shape[0]
-    if t < 2:
-        return w, v, ti
-    gram = np.abs(v @ v.T)
-    absorbed = np.zeros(t, dtype=bool)
-    w = w.copy()
-    for i in range(t):
-        if absorbed[i]:
-            continue
-        dup = (gram[i] >= 1.0 - MERGE_COS_TOL) & ~absorbed
-        dup[: i + 1] = False
-        if np.any(dup):
-            w[i] += w[dup].sum()
-            absorbed |= dup
-    keep = ~absorbed
-    return w[keep], v[keep], ti[keep]
+        """Factor X with at most min(m+1, n) terms (see ``_factor``)."""
+        return _factor(self.instance, self.x)
 
 
 def _spectral_factors(instance: ShmInstance, dense: np.ndarray):
@@ -410,12 +380,8 @@ def _spectral_factors(instance: ShmInstance, dense: np.ndarray):
 
 
 def _prune_arrays(instance: ShmInstance, w: np.ndarray, v: np.ndarray, ti: np.ndarray):
-    n, m = instance.n, instance.m
-    if w.shape[0] > n:
-        # the point has rank at most n, so its own eigendecomposition is a
-        # representation with at most n factors
-        w, v, ti = _spectral_factors(instance, (v.T * w) @ v)
-    while w.shape[0] > m + 1:
+    """Eliminate affine dependencies among the factor images down to m+1 terms."""
+    while w.shape[0] > instance.m + 1:
         t = w.shape[0]
         mat = np.vstack([ti.T, np.ones((1, t))])
         _, _, vt = np.linalg.svd(mat)
@@ -436,63 +402,57 @@ def _prune_arrays(instance: ShmInstance, w: np.ndarray, v: np.ndarray, ti: np.nd
     return w, v, ti
 
 
+def _factor(instance: ShmInstance, dense: np.ndarray) -> SpectraplexPoint:
+    """Factor a dense spectraplex point with at most min(m+1, n) terms.
+
+    One eigendecomposition gives at most n factors (parallel ones fold into
+    one eigenvector); affine elimination among their images leaves at most
+    m+1.  Every certificate's point is built here.
+    """
+    w, v, ti = _spectral_factors(instance, dense)
+    w, v, ti = _prune_arrays(instance, w, v, ti)
+    return SpectraplexPoint(w, v, image=w @ ti, term_images=ti)
+
+
 def prune_representation(instance: ShmInstance, point: SpectraplexPoint) -> SpectraplexPoint:
     """Rewrite a point with at most min(m+1, n) factors and the same image.
 
-    Near-duplicate factors merge first; a factor count above the order n is
-    collapsed through the iterate's own eigendecomposition; what remains is
-    squeezed by eliminating affine dependencies among the factor images.  On
+    The point's dense matrix is factored by the route every certificate
+    takes: one eigendecomposition, then affine elimination among the factor
+    images.  That result is returned when it has fewer terms than the input;
+    otherwise the input itself, bound to the instance if it was not.  On
     linear-algebra failure the input is returned unchanged with a logged
     warning rather than a corrupted representation.
     """
     if point.n != instance.n:
         raise ValueError("point order does not match the instance")
-    ti = point.term_images
-    if ti is None:
-        ti = _term_images(instance, point.vectors)
-    w, v, ti = _merge_duplicate_factors(point.weights, point.vectors, ti)
-    if w.shape[0] <= _term_limit(instance):
-        if w.shape[0] == point.num_terms and point.term_images is not None:
-            return point
-        return SpectraplexPoint(w, v, image=w @ ti, term_images=ti)
     try:
-        w, v, ti = _prune_arrays(instance, w, v, ti)
+        out = _factor(instance, point.dense())
     except np.linalg.LinAlgError as err:
         logger.warning("prune left the representation unchanged: %s", err)
         return point
-    if logger.isEnabledFor(logging.DEBUG):
-        # diagnostic only, never enforced: a support this small always exists
-        support = int((math.isqrt(8 * instance.m + 9) - 1) // 2)
-        logger.debug("prune kept %d factors (minimal support bound %d)", w.size, support)
-    return SpectraplexPoint(w, v, image=w @ ti, term_images=ti)
+    if out.num_terms < point.num_terms:
+        return out
+    return point if point.term_images is not None else bind(instance, point)
 
 
-def _oracle_setup(mode: str):
-    """The oracle mode and a fresh pivot cache, or None, for a solve mode."""
-    if mode == "cached":
-        return "power", PivotCache()
-    if mode in ORACLE_MODES:
-        return mode, None
-    raise ValueError(f"unknown solve mode {mode!r}")
-
-
-def _run(instance, epsilon, max_iters, oracle_mode, seed, start, strict, cache):
+def _run(instance, epsilon, max_iters, mode, seed, start, strict):
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if max_iters is None:
         max_iters = default_iteration_cap(epsilon)
     gen = np.random.default_rng(seed)
-    it = _Iterate.from_start(instance, start)
+    stats = SolveStats()
+    it = _Iterate(instance, start, mode, gen, strict, stats)
     b = instance.b
     radius = instance.radius_bound
     target_gap = epsilon * radius + NOISE_FLOOR * (1.0 + float(np.linalg.norm(b)))
-    stats = SolveStats()
     iterations = 0
 
     def certificate(kind, point, gap, **extra):
         return Certificate(
             kind, point, gap, epsilon, radius, iterations, stats.oracle_calls,
-            stats=stats, cache=cache, **extra,
+            stats=stats, cache=it.cache, **extra,
         )
 
     while True:
@@ -506,7 +466,7 @@ def _run(instance, epsilon, max_iters, oracle_mode, seed, start, strict, cache):
         if iterations >= max_iters:
             return certificate(INCONCLUSIVE, it.snapshot(), gap)
         try:
-            out, asm = it.step(b, oracle_mode, cache, gen, strict, stats)
+            out, asm = it.step(b)
         except DegeneratePivotError:
             # a true pivot never shares the iterate's image; reaching here
             # means the residual is float noise and the point is as good as
@@ -560,8 +520,7 @@ def solve_shm(
     strict : bool
         Prefer strict pivots, falling back to plain ones.
     """
-    oracle_mode, cache = _oracle_setup(mode)
-    return _run(instance, epsilon, max_iters, oracle_mode, seed, start, strict, cache)
+    return _run(instance, epsilon, max_iters, mode, seed, start, strict)
 
 
 def solve_shm_cached(

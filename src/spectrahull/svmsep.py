@@ -16,8 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chm import INCONCLUSIVE, DegeneratePivotError, Hyperplane, default_iteration_cap
-from .shm import SolveStats, _Iterate, _oracle_setup
+from .chm import (
+    INCONCLUSIVE,
+    DegeneratePivotError,
+    Hyperplane,
+    _bisector,
+    default_iteration_cap,
+)
+from .shm import SolveStats, _Iterate
 from .symcore import ShmInstance, SpectraplexPoint, SymmetricMatrix
 
 # not called here (the kernel runs in shm's step engine), but perfbench
@@ -103,13 +109,14 @@ def solve_separation(
         raise ValueError("epsilon must lie in (0, 1)")
     if max_iters is None:
         max_iters = default_iteration_cap(epsilon)
-    (oracle_mode, cache_l), (_, cache_r) = _oracle_setup(mode), _oracle_setup(mode)
-    caches = (cache_l, cache_r)  # one per side
-    gen = np.random.default_rng(seed)
-    sides = (_Iterate.from_start(inst_l, "rankone-e"), _Iterate.from_start(inst_r, "rankone-e"))
+    gen = np.random.default_rng(seed)  # one stream shared by both sides
+    stats = SolveStats()
+    sides = (
+        _Iterate(inst_l, "rankone-e", mode, gen, strict, stats),
+        _Iterate(inst_r, "rankone-e", mode, gen, strict, stats),
+    )
     scale = max(inst_l.radius_bound, inst_r.radius_bound)
     tol = epsilon * scale
-    stats = SolveStats()
     iterations = 0
     sweep = 0
     last_success: int | None = None
@@ -134,9 +141,7 @@ def solve_separation(
         margins = [None, None]
         for k in order:
             try:
-                out, _ = sides[k].step(
-                    sides[1 - k].image, oracle_mode, caches[k], gen, strict, stats
-                )
+                out, _ = sides[k].step(sides[1 - k].image)
             except DegeneratePivotError:
                 # a true pivot never shares the iterate's image; selecting one
                 # means the pair gap is float noise and the hulls touch
@@ -153,10 +158,7 @@ def solve_separation(
             # both sides certified in one sweep with nothing moving in
             # between, so the bisector of the connecting segment separates
             # the hulls
-            p_l, p_r = sides[0].image, sides[1].image
-            normal = p_r - p_l
-            offset = 0.5 * float(normal @ (p_r + p_l))
+            hp = Hyperplane(*_bisector(sides[1].image, sides[0].image))
             return certificate(
-                SEPARATED, gap, hyperplane=Hyperplane(normal, offset),
-                left_margin=margins[0], right_margin=margins[1],
+                SEPARATED, gap, hyperplane=hp, left_margin=margins[0], right_margin=margins[1]
             )

@@ -1,5 +1,7 @@
 """Embedding of affine feasibility into membership, plus the cut relaxation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,3 +199,8 @@ def test_relaxation_rejects_bad_epsilon():
     mc = MaxCutInstance.from_edges(2, [(0, 1, 1.0)])
     with pytest.raises(ValueError):
         solve_maxcut_relaxation(mc, epsilon=0.0)
+    # the rule the CLI's maxcut --epsilon applies, checked before any probe
+    k3 = MaxCutInstance.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+    for eps in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            solve_maxcut_relaxation(k3, epsilon=eps)

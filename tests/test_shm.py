@@ -384,6 +384,23 @@ def test_prune_leaves_small_representations_alone():
     assert prune_representation(INTERVAL, p) is p
 
 
+def test_prune_folds_dependent_factors_within_the_limit():
+    """Three factors within min(m+1, n) = 3 that span only a plane factor
+    into two, by the eigendecomposition every certificate goes through."""
+    rng = np.random.default_rng(11)
+    inst = ShmInstance(
+        tuple(helpers.random_symmetric(rng, 3) for _ in range(3)), rng.standard_normal(3)
+    )
+    e1, e2 = np.eye(3)[:2]
+    p = SpectraplexPoint(np.full(3, 1.0 / 3.0), np.array([e1, e2, (e1 + e2) / np.sqrt(2.0)]))
+    before = image(inst, p)
+    out = prune_representation(inst, p)
+    assert out.num_terms == 2
+    out.validate()
+    assert np.linalg.norm(image(inst, out) - before) <= 1e-12 * inst.radius_bound
+    assert np.allclose(out.dense(), p.dense(), atol=1e-15)
+
+
 def test_prune_spectral_route_collapses_redundancy():
     rng = np.random.default_rng(5)
     mats = tuple(helpers.random_symmetric(rng, 3) for _ in range(5))

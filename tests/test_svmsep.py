@@ -159,6 +159,11 @@ def test_empty_side_is_rejected():
         solve_separation((), RIGHT_HIGH, 1e-4)
 
 
+def test_unknown_mode_is_rejected():
+    with pytest.raises(ValueError, match="unknown solve mode"):
+        solve_separation(LEFT_LOW, RIGHT_HIGH, 1e-4, mode="mystery")
+
+
 def test_zero_budget_reports_inconclusive():
     # uniform starts land on the interval midpoints 2.0 and 3.5
     cert = solve_separation(LEFT_WIDE, RIGHT_WIDE, 1e-4, max_iters=0)
