@@ -21,7 +21,6 @@ class DemoConfig:
     n: int = 3
     density: float = 1.0
     epsilon: float = 1e-3
-    mode: str = "cached"
     seed: int = 0
     max_iters: int = 50_000
 
@@ -45,18 +44,14 @@ def main(argv=None):
         help="edge probability; 1.0 gives the unit-weight complete graph",
     )
     ap.add_argument("--epsilon", type=float, default=1e-3)
-    ap.add_argument("--mode", choices=("cached", "power", "exact"), default="cached")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0, help="draws the random graph")
     ap.add_argument("--max-iters", type=int, default=50_000)
     a = ap.parse_args(argv)
-    cfg = DemoConfig(a.n, a.density, a.epsilon, a.mode, a.seed, a.max_iters)
+    cfg = DemoConfig(a.n, a.density, a.epsilon, a.seed, a.max_iters)
 
     mc = build_graph(cfg)
     print(f"graph: n={mc.n}, total weight {mc.weights.sum() / 2.0:g}")
-    res = solve_maxcut_relaxation(
-        mc, epsilon=cfg.epsilon, max_iters=cfg.max_iters,
-        mode=cfg.mode, seed=cfg.seed,
-    )
+    res = solve_maxcut_relaxation(mc, epsilon=cfg.epsilon, max_iters=cfg.max_iters)
 
     print(f"{'probe w':>14} {'verdict':>12} {'iters':>8} {'eig calls':>10}")
     for rec in res.trace:

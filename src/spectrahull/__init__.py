@@ -43,7 +43,6 @@ from .chm import (
 )
 from .shm import (
     Certificate,
-    PivotCache,
     PivotMatrixAssembly,
     PivotOutcome,
     VerificationReport,
@@ -89,7 +88,6 @@ __all__ = [
     "MaxCutResult",
     "PairCertificate",
     "PairIterate",
-    "PivotCache",
     "PivotMatrixAssembly",
     "PivotOutcome",
     "PointSet",

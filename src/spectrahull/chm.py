@@ -4,8 +4,10 @@ The classic geometric loop: scan for a pivot point that is at least as far
 from the iterate as from the target, take the distance-minimizing step along
 the segment to it, and stop either inside the tolerance ball or at an iterate
 whose bisecting hyperplane separates the target from every point.  This module
-is self-contained in the image space and doubles as the scan engine for the
-image-cache driver built on top of it.
+is self-contained in the image space.  It also holds the two step rules the
+spectraplex walk in ``shm`` shares: the segment step ``_ta_step`` and
+Wolfe's minor cycles ``_nearest_weights``, which move a walk's weights to
+the point of its atoms' hull nearest the target.
 """
 
 from __future__ import annotations
@@ -180,6 +182,53 @@ def _ta_step(p0: np.ndarray, pp: np.ndarray, v: np.ndarray):
     alpha = float((p0 - pp) @ d) / dd
     alpha = min(1.0, max(0.0, alpha))
     return (1.0 - alpha) * pp + alpha * v, alpha
+
+
+def _nearest_weights(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Wolfe's (1976) minor cycles over the rows of ``y``, started from
+    convex weights ``w``: convex weights of a point no farther from the
+    origin, which is the point nearest the origin in the affine hull of the
+    rows it keeps, and so in their convex hull.
+
+    Each cycle takes the minimiser mu of |y^T mu| over the affine hull of the
+    live rows, mu = a / sum(a) with (Y Y^T + s 1 1^T) a = 1 for any s > 0.  A
+    mu with every entry positive is the answer; otherwise the weights move
+    from ``w`` toward mu until the first one reaches zero, that row is
+    dropped, and the cycle repeats.  No cycle ends farther from the origin
+    than it started, and each drops a row, so there are at most as many
+    cycles as rows.  Given the nearest point of the hull of the other rows
+    and a new row at weight zero that is closer to the origin along that
+    point's direction, the result is strictly closer (one major cycle of
+    Wolfe's algorithm).  Affinely dependent rows make the system exactly
+    singular; it is still consistent, so a least-squares solution gives a
+    valid minimiser.  Dropped rows get weight zero.
+    """
+    w = np.array(w, dtype=float)
+    live = np.arange(w.size)
+    while True:
+        yl = y[live]
+        g = yl @ yl.T
+        # s scaled to the rows keeps the system's conditioning independent
+        # of the image scale; any positive value gives the same minimiser
+        g += float(np.trace(g)) / live.size or 1.0
+        ones = np.ones(live.size)
+        try:
+            a = np.linalg.solve(g, ones)
+        except np.linalg.LinAlgError:
+            a = np.linalg.lstsq(g, ones, rcond=None)[0]
+        mu = a / a.sum()
+        out = mu <= 0.0
+        if not out.any():
+            w[live] = mu
+            return w
+        wl = w[live]
+        den = wl[out] - mu[out]  # >= 0, zero only for a zero weight at mu = 0
+        ratio = np.divide(wl[out], den, out=np.zeros_like(den), where=den > 0.0)
+        j = int(np.argmin(ratio))
+        wl = np.maximum(wl + ratio[j] * (mu - wl), 0.0)
+        wl[np.flatnonzero(out)[j]] = 0.0
+        w[live] = wl
+        live = live[wl > 0.0]
 
 
 def solve_chm(

@@ -257,8 +257,6 @@ def _add_common(sub, with_solve_flags: bool):
     sub.add_argument("--input", required=True, help="problem file path")
     sub.add_argument("--epsilon", type=_FRACTION if with_solve_flags else _POSITIVE,
                      default=1e-2)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--pivot-mode", choices=("cached", "power", "exact"), default="cached")
     sub.add_argument("--output", default=None, help="also write the report to this file")
     if with_solve_flags:
         sub.add_argument("--max-iters", type=_COUNT, default=None,
@@ -266,6 +264,7 @@ def _add_common(sub, with_solve_flags: bool):
         sub.add_argument("--start", choices=("rankone-e", "identity"), default="rankone-e")
         sub.add_argument("--strict", action="store_true")
         sub.add_argument("--verify", type=_COUNT, default=None, metavar="SAMPLES")
+        sub.add_argument("--seed", type=_COUNT, default=0, help="seeds the --verify sampler")
     else:
         sub.add_argument("--max-iters", type=_COUNT, default=200_000,
                          help="pivot-step budget per probe")
@@ -297,8 +296,7 @@ def _point_lines(point) -> list[str]:
 
 def _solve_and_report_shm(instance: ShmInstance, args, lines: list[str]):
     cert = solve_shm(
-        instance, args.epsilon, args.max_iters, mode=args.pivot_mode, seed=args.seed,
-        start=args.start, strict=args.strict,
+        instance, args.epsilon, args.max_iters, start=args.start, strict=args.strict
     )
     lines.append(f"status {cert.kind.capitalize()}")
     lines.append(f"epsilon {_fmt(cert.epsilon)}")
@@ -364,10 +362,7 @@ def _run_chm(payload, args, lines: list[str]) -> int:
 
 def _run_svm(payload, args, lines: list[str]) -> int:
     left, right = payload
-    cert = solve_separation(
-        left, right, args.epsilon, args.max_iters, mode=args.pivot_mode,
-        seed=args.seed, strict=args.strict,
-    )
+    cert = solve_separation(left, right, args.epsilon, args.max_iters, strict=args.strict)
     lines.append(f"status {cert.kind.capitalize()}")
     lines.append(f"epsilon {_fmt(cert.epsilon)}")
     lines.append(f"scale {_fmt(cert.scale)}")
@@ -385,10 +380,7 @@ def _run_svm(payload, args, lines: list[str]) -> int:
 
 
 def _run_maxcut(mc: MaxCutInstance, args, lines: list[str]) -> int:
-    result = solve_maxcut_relaxation(
-        mc, epsilon=args.epsilon, max_iters=args.max_iters, mode=args.pivot_mode,
-        seed=args.seed,
-    )
+    result = solve_maxcut_relaxation(mc, epsilon=args.epsilon, max_iters=args.max_iters)
     lines.append(f"status {result.status.capitalize()}")
     lines.append(f"epsilon {_fmt(result.epsilon)}")
     lines.append(f"value {_fmt(result.value)}")

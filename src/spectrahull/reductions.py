@@ -176,8 +176,6 @@ def maxcut_feasibility_probe(
     w: float,
     abs_gap: float,
     max_iters: int | None = None,
-    mode: str = "cached",
-    seed=0,
     start="rankone-e",
 ):
     """Ask whether some unit-diagonal PSD matrix Y has <W, Y> equal to w.
@@ -189,7 +187,7 @@ def maxcut_feasibility_probe(
     instance = _probe_instance(mc, w)
     eps = abs_gap / instance.radius_bound
     eps = min(max(eps, 1e-15), 0.5)
-    cert = solve_shm(instance, eps, max_iters, mode=mode, seed=seed, start=start)
+    cert = solve_shm(instance, eps, max_iters, start=start)
     return instance, cert
 
 
@@ -224,8 +222,6 @@ def solve_maxcut_relaxation(
     mc: MaxCutInstance,
     epsilon: float = 1e-2,
     max_iters: int = 50_000,
-    mode: str = "cached",
-    seed=0,
 ) -> MaxCutResult:
     """Bisect the relaxation value to within epsilon using membership probes.
 
@@ -252,9 +248,7 @@ def solve_maxcut_relaxation(
 
     def probe(omega: float, gap_target: float):
         nonlocal warm
-        inst, cert = maxcut_feasibility_probe(
-            mc, n * omega, gap_target, max_iters, mode=mode, seed=seed, start=warm
-        )
+        inst, cert = maxcut_feasibility_probe(mc, n * omega, gap_target, max_iters, start=warm)
         trace.append(
             ProbeRecord(n * omega, cert.kind, cert.gap, cert.iterations, cert.oracle_calls)
         )

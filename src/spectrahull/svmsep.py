@@ -1,13 +1,14 @@
 """Distance and separation between two spectrahulls in a shared image space.
 
-Each side keeps its own dense iterate and pivot cache, if the mode keeps
-one, and the two chase each other: a side steps with the membership solver's
-step engine, ``_Iterate.step``, aiming at the other side's current image
-instead of a fixed target.  This module adds only the sweep order and the
-verdicts.  Factors are built only for the returned pair, at most min(m+1, n)
-per side.  When both sides certify pivot absence against each other in the
-same sweep, the bisector of the connecting segment strictly separates the hulls.  When
-the connecting segment collapses within tolerance, the hulls intersect.
+Each side keeps its own walk over rank-one atoms, and the two chase each
+other: a side steps with the membership solver's step engine,
+``_Iterate.step``, aiming at the other side's current image instead of a
+fixed target.  A side's image moves only in a step whose query found a
+pivot.  This module adds only the sweep order and the verdicts.  Factors are
+built only for the returned pair, at most min(m+1, n) per side.  When both
+sides certify pivot absence against each other in the same sweep, the
+bisector of the connecting segment strictly separates the hulls.  When the
+connecting segment collapses within tolerance, the hulls intersect.
 """
 
 from __future__ import annotations
@@ -89,8 +90,6 @@ def solve_separation(
     right,
     epsilon: float,
     max_iters: int | None = None,
-    mode: str = "power",
-    seed=0,
     strict: bool = False,
 ) -> PairCertificate:
     """Decide whether two spectrahulls intersect or are strictly separated.
@@ -109,11 +108,10 @@ def solve_separation(
         raise ValueError("epsilon must lie in (0, 1)")
     if max_iters is None:
         max_iters = default_iteration_cap(epsilon)
-    gen = np.random.default_rng(seed)  # one stream shared by both sides
     stats = SolveStats()
     sides = (
-        _Iterate(inst_l, "rankone-e", mode, gen, strict, stats),
-        _Iterate(inst_r, "rankone-e", mode, gen, strict, stats),
+        _Iterate(inst_l, "rankone-e", strict, stats),
+        _Iterate(inst_r, "rankone-e", strict, stats),
     )
     scale = max(inst_l.radius_bound, inst_r.radius_bound)
     tol = epsilon * scale

@@ -256,7 +256,7 @@ def test_c07_affine_feasibility_reduction_round_trips():
     for i in range(50):
         mats, b, _ = helpers.bounded_feasible_sdp(rng)
         red = reduce_sdp_to_shm(SdpFeasibilityInstance(mats, b))
-        cert = solve_shm(red.membership, 1e-5, max_iters=500_000, mode="power")
+        cert = solve_shm(red.membership, 1e-5, max_iters=500_000)
         assert cert.kind == FEASIBLE, f"instance {i}: {cert.kind}"
         x, _ = red.recover(cert.point)
         viol = max(

@@ -15,7 +15,7 @@ from spectrahull import (
     solve_chm,
     ta_step,
 )
-from spectrahull.chm import default_iteration_cap
+from spectrahull.chm import _nearest_weights, default_iteration_cap
 
 TRIANGLE = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 SEGMENT = PointSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -116,6 +116,36 @@ def test_ta_step_never_increases_distance(seed):
     p, alpha = ta_step(p0, pp, v)
     assert 0.0 <= alpha <= 1.0
     assert np.linalg.norm(p - p0) <= np.linalg.norm(pp - p0) + 1e-12
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_nearest_weights_end_on_the_affine_minimiser_of_the_kept_rows(seed):
+    """Wolfe's minor cycles end on convex weights whose point x is no
+    farther from the origin than the start and is orthogonal to the affine
+    hull of the rows kept (x . y = |x|^2 on each), also when a row repeats
+    another and the affine system turns singular."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 5))
+    count = int(rng.integers(2, dim + 3))
+    y = rng.standard_normal((count, dim))
+    if rng.random() < 0.5:
+        y[-1] = y[0]
+    w0 = rng.dirichlet(np.ones(count))
+    w0[-1] = 0.0
+    w0 /= w0.sum()
+    w = _nearest_weights(y, w0)
+    assert np.all(w >= 0.0)
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    x = w @ y
+    assert np.linalg.norm(x) <= np.linalg.norm(w0 @ y) + 1e-12
+    assert np.allclose(y[w > 0.0] @ x, x @ x, atol=1e-9)
+
+
+def test_nearest_weights_reach_the_origin_through_a_new_row():
+    # from the row 2 alone, the new row -1 puts the origin in the hull
+    w = _nearest_weights(np.array([[2.0], [-1.0]]), np.array([1.0, 0.0]))
+    assert w == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-15)
 
 
 # ------------------------------------------------------------------ solve_chm

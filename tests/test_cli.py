@@ -308,6 +308,7 @@ def test_usage_errors(tmp_path, capsys):
         ["solve", "--input", shm, "--epsilon", "1.5"],
         ["solve", "--input", shm, "--epsilon", "nan"],
         ["solve", "--input", witness, "--verify", "-5"],
+        ["solve", "--input", shm, "--seed", "-1", "--verify", "10"],
         ["solve", "--input", shm, "--max-iters", "-1"],
         ["maxcut", "--input", graph, "--epsilon", "inf"],
         ["maxcut", "--input", graph, "--epsilon", "nan"],

@@ -106,7 +106,7 @@ def test_feasible_embedding_round_trips(seed):
     sdp = SdpFeasibilityInstance(mats, b)
     red = reduce_sdp_to_shm(sdp)
     eps = 1e-5
-    cert = solve_shm(red.membership, eps, max_iters=300_000, mode="power")
+    cert = solve_shm(red.membership, eps, max_iters=300_000)
     assert cert.kind == FEASIBLE
     x, alpha = red.recover(cert.point, min_alpha=1e-6)
     bound = 10.0 * eps * red.membership.radius_bound / alpha
@@ -204,3 +204,31 @@ def test_relaxation_rejects_bad_epsilon():
     for eps in (math.inf, math.nan, -1.0):
         with pytest.raises(ValueError, match="finite and positive"):
             solve_maxcut_relaxation(k3, epsilon=eps)
+
+
+def _graph_edges(name):
+    if name[0] == "K" and "," in name:
+        a, b = (int(k) for k in name[1:].split(","))
+        return a + b, [(i, a + j) for i in range(a) for j in range(b)]
+    n = int(name[1:])
+    if name[0] == "K":
+        return n, [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return n, [(i, (i + 1) % n) for i in range(n)]
+
+
+@pytest.mark.parametrize("name", ["K3", "K4", "C4", "C6", "K2,3"])
+def test_relaxation_does_not_depend_on_vertex_labels(name):
+    """Relabelled graphs give the same bracket at a bounded, similar cost."""
+    n, edges = _graph_edges(name)
+    rng = np.random.default_rng(17)
+    perms = [np.arange(n)] + [rng.permutation(n) for _ in range(3)]
+    results = []
+    for p in perms:
+        mc = MaxCutInstance.from_edges(n, [(p[i], p[j], 1.0) for i, j in edges])
+        results.append(solve_maxcut_relaxation(mc, epsilon=1e-2))
+    steps = [sum(rec.iterations for rec in res.trace) for res in results]
+    for res in results:
+        assert res.status == "converged", name
+        assert res.lower == results[0].lower and res.upper == results[0].upper, name
+    assert max(steps) <= 200, (name, steps)
+    assert max(steps) <= 2 * min(steps), (name, steps)

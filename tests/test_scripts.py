@@ -14,11 +14,6 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
         pytest.param(
             "maxcut_demo.py", ["--n", "3", "--epsilon", "1e-2"], id="maxcut_demo"
         ),
-        pytest.param(
-            "pivot_mode_benchmark.py",
-            ["--cases", "4", "--n", "4", "--m", "3", "--epsilon", "1e-2"],
-            id="pivot_mode_benchmark",
-        ),
     ],
 )
 def test_script_main_returns_zero(name, argv, capsys):

@@ -13,7 +13,6 @@ from spectrahull import (
     FEASIBLE,
     INCONCLUSIVE,
     WITNESS,
-    PivotCache,
     PivotMatrixAssembly,
     ShmInstance,
     SpectraplexPoint,
@@ -31,7 +30,7 @@ from spectrahull import (
 )
 from spectrahull import shm
 from spectrahull.chm import NOISE_FLOOR
-from spectrahull.shm import _Iterate, _make_assembly
+from spectrahull.shm import _make_assembly
 
 import helpers
 
@@ -104,7 +103,7 @@ def test_assembly_strict_threshold():
 
 def test_oracle_exact_finds_corner_pivot():
     asm = _make_assembly(INTERVAL, np.array([1.0]))
-    out = pivot_oracle(asm, mode="exact")
+    out = pivot_oracle(asm)
     assert out.found
     assert np.allclose(np.abs(out.vector), [0.0, 0.0, 1.0])
     assert out.rayleigh == pytest.approx(-3.0, abs=1e-12)
@@ -113,7 +112,7 @@ def test_oracle_exact_finds_corner_pivot():
 
 def test_oracle_power_clears_bar():
     asm = _make_assembly(INTERVAL, np.array([1.0]))
-    out = pivot_oracle(asm, mode="power")
+    out = pivot_oracle(asm)
     assert out.found
     assert out.rayleigh <= asm.threshold
     v_img = rank_one_image(INTERVAL, out.vector)
@@ -126,7 +125,7 @@ def test_oracle_certified_absence():
         INTERVAL, np.array([3.0]), np.array([1.0]), np.array([-2.0]), -8.0
     )
     assert np.allclose(asm.matrix.entries, -2.0 * np.diag([1.0, 2.0, 3.0]))
-    out = pivot_oracle(asm, mode="power")
+    out = pivot_oracle(asm)
     assert not out.found
     assert out.lambda_min == pytest.approx(-6.0, abs=1e-9)
     assert out.method == "jacobi"  # absence is always eigensolver-certified
@@ -142,7 +141,7 @@ def test_oracle_bar_within_error_bound_is_not_certified():
     asm = PivotMatrixAssembly(
         INTERVAL, np.array([3.0]), np.array([1.0]), np.array([-2.0]), bar
     )
-    out = pivot_oracle(asm, mode="exact")
+    out = pivot_oracle(asm)
     assert not out.found
     assert out.lambda_min > out.threshold
     assert out.margin < 0.0
@@ -151,60 +150,23 @@ def test_oracle_bar_within_error_bound_is_not_certified():
 
 def test_oracle_zero_matrix_degenerate_pivot():
     asm = _make_assembly(INTERVAL, np.array([2.0]))
-    out = pivot_oracle(asm, mode="power")
+    out = pivot_oracle(asm)
     assert out.found
     assert out.rayleigh == 0.0
 
 
 def test_oracle_strict_bar():
     asm = _make_assembly(INTERVAL, np.array([1.0]))
-    out = pivot_oracle(asm, mode="exact", strict=True)
+    out = pivot_oracle(asm, strict=True)
     assert out.found
     assert out.rayleigh <= asm.strict_threshold
-
-
-def test_oracle_rejects_unknown_mode():
-    asm = _make_assembly(INTERVAL, np.array([1.0]))
-    with pytest.raises(ValueError):
-        pivot_oracle(asm, mode="secant")
-
-
-def test_oracle_cached_first_scan_hit():
-    cache = PivotCache()
-    cache.add(np.array([1.0, 0.0, 0.0]), rank_one_image(INTERVAL, [1.0, 0.0, 0.0]))
-    cache.add(np.array([0.0, 0.0, 1.0]), rank_one_image(INTERVAL, [0.0, 0.0, 1.0]))
-    asm = _make_assembly(INTERVAL, np.array([1.0]))
-    out = pivot_oracle(asm, cache=cache)
-    assert out.found
-    assert out.method == "cache"
-    assert out.cache_index == 1
-    assert np.allclose(np.abs(out.vector), [0.0, 0.0, 1.0])
-    assert out.rayleigh == pytest.approx(-3.0, abs=1e-12)
-
-
-def test_oracle_cached_first_miss_escalates():
-    cache = PivotCache()  # nothing cached yet
-    asm = _make_assembly(INTERVAL, np.array([1.0]))
-    out = pivot_oracle(asm, cache=cache)
-    assert out.found
-    assert out.method in ("power", "jacobi")
-
-
-def test_pivot_cache_merges_antipodal_directions():
-    cache = PivotCache()
-    i0 = cache.add(np.array([1.0, 0.0]), np.array([1.0]))
-    i1 = cache.add(np.array([-1.0, 0.0]), np.array([1.0]))
-    assert i0 == i1 == 0
-    assert len(cache) == 1
-    i2 = cache.add(np.array([0.0, 1.0]), np.array([2.0]))
-    assert i2 == 1
 
 
 # ---------------------------------------------------------------------- solve
 
 
 def test_solve_interval_single_exact_step():
-    cert = solve_shm(INTERVAL, 1e-6, mode="exact", start=E1)
+    cert = solve_shm(INTERVAL, 1e-6, start=E1)
     assert cert.kind == FEASIBLE
     assert cert.iterations == 1
     assert cert.gap <= 1e-12
@@ -223,7 +185,7 @@ def test_solve_interval_default_start_is_exact_hit():
 
 def test_solve_witness_trace_from_corner():
     inst = interval_with(5.0)
-    cert = solve_shm(inst, 1e-6, mode="exact", start=E1)
+    cert = solve_shm(inst, 1e-6, start=E1)
     assert cert.kind == WITNESS
     assert cert.iterations == 1
     assert cert.gap == pytest.approx(2.0, abs=1e-12)
@@ -263,8 +225,6 @@ def test_solve_input_validation():
     with pytest.raises(ValueError):
         solve_shm(INTERVAL, 1.0)
     with pytest.raises(ValueError):
-        solve_shm(INTERVAL, 1e-3, mode="mystery")
-    with pytest.raises(ValueError):
         solve_shm(INTERVAL, 1e-3, start="corner")
 
 
@@ -284,9 +244,8 @@ def test_solve_cached_interval_call_budget():
     cert1 = solve_shm_cached(INTERVAL, 1e-6, start=E1)
     assert cert1.kind == FEASIBLE
     assert cert1.oracle_calls <= 2
-    cached_images = cert1.cache.images.ravel() if len(cert1.cache) else []
-    for img in cached_images:
-        assert 1.0 <= img <= 3.0
+    for img in cert1.point.term_images.ravel():
+        assert 1.0 - 1e-12 <= img <= 3.0 + 1e-12
 
 
 def test_solve_cached_witness_margin():
@@ -306,13 +265,6 @@ def test_solve_ends_inconclusive_when_margin_within_bound(monkeypatch):
         cert = solve(interval_with(5.0), 1e-6)
         assert cert.kind == INCONCLUSIVE
         assert cert.hyperplane is None and cert.eig_margin is None
-
-
-def test_solve_mode_cached_alias():
-    a = solve_shm(INTERVAL, 1e-6, mode="cached", start=E1)
-    b = solve_shm_cached(INTERVAL, 1e-6, start=E1)
-    assert a.kind == b.kind == FEASIBLE
-    assert a.oracle_calls == b.oracle_calls
 
 
 def test_strict_misses_reuse_their_work(monkeypatch):
@@ -351,8 +303,8 @@ def test_cached_and_plain_verdicts_never_contradict(seed):
     # verdicts, when both are reached, must still agree
     rng = np.random.default_rng(seed)
     inst, _, _ = helpers.random_diagonal_case(rng, inside=bool(seed % 2))
-    plain = solve_shm(inst, 1e-4, max_iters=50_000, seed=0)
-    cached = solve_shm_cached(inst, 1e-4, max_iters=50_000, seed=0)
+    plain = solve_shm(inst, 1e-4, max_iters=50_000)
+    cached = solve_shm_cached(inst, 1e-4, max_iters=50_000)
     if INCONCLUSIVE not in (plain.kind, cached.kind):
         assert plain.kind == cached.kind
 
@@ -467,13 +419,12 @@ def test_certificates_carry_at_most_the_caratheodory_count(seed):
     mats, b = _random_case(rng, n, m)
     inst = ShmInstance(mats, b)
     ball = 1e-4 * inst.radius_bound + NOISE_FLOOR * (1.0 + float(np.linalg.norm(b)))
-    for mode in ("power", "exact", "cached"):
-        cert = solve_shm(inst, 1e-4, max_iters=20_000, mode=mode, seed=seed)
-        assert cert.point.num_terms <= min(m + 1, n), mode
-        gap = float(np.linalg.norm(_dense_image(inst, cert.point) - b))
-        assert abs(gap - cert.gap) <= 1e-9 * inst.radius_bound, mode
-        if cert.kind == FEASIBLE:
-            assert gap <= ball, mode
+    cert = solve_shm(inst, 1e-4, max_iters=20_000)
+    assert cert.point.num_terms <= min(m + 1, n)
+    gap = float(np.linalg.norm(_dense_image(inst, cert.point) - b))
+    assert abs(gap - cert.gap) <= 1e-9 * inst.radius_bound
+    if cert.kind == FEASIBLE:
+        assert gap <= ball
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -486,7 +437,7 @@ def test_separation_pairs_carry_at_most_the_caratheodory_count(seed):
         n = int(rng.integers(1, 7))
         shift = rng.uniform(-2.0, 2.0)
         sides.append(tuple(helpers.random_symmetric(rng, n) + shift * np.eye(n) for _ in range(m)))
-    cert = solve_separation(sides[0], sides[1], 1e-3, max_iters=20_000, seed=seed)
+    cert = solve_separation(sides[0], sides[1], 1e-3, max_iters=20_000)
     images = []
     for mats, point in zip(sides, (cert.pair.left, cert.pair.right)):
         inst = ShmInstance(mats, np.zeros(m))
@@ -510,7 +461,7 @@ def test_feasible_walk_continues_past_factoring_drift(monkeypatch):
         return w, v, ti
 
     monkeypatch.setattr(shm, "_prune_arrays", drifting)
-    cert = solve_shm(INTERVAL, 1e-6, mode="exact", start=E1)
+    cert = solve_shm(INTERVAL, 1e-6, start=E1)
     # unperturbed, one step lands on (e1 e1^T + e3 e3^T) / 2 and stops
     assert calls[0] == 2
     assert len(calls) >= 2
@@ -519,44 +470,6 @@ def test_feasible_walk_continues_past_factoring_drift(monkeypatch):
     gap = abs(float(_dense_image(INTERVAL, cert.point)[0]) - 2.0)
     assert gap <= 1e-6 * cert.radius_bound
     assert gap == pytest.approx(cert.gap, abs=1e-12)
-
-
-def test_long_walk_keeps_its_image_on_the_iterate(monkeypatch):
-    """Over more than 1e4 steps the carried image, the dense iterate and the
-    certificate's factors all stay within 1e-9 R of an extended-precision
-    replay of the same steps."""
-    steps = []
-    seen = []
-    real_apply, real_snapshot = _Iterate.apply, _Iterate.snapshot
-
-    def recording_apply(self, vector, v_image, alpha):
-        steps.append((np.array(vector), alpha))
-        real_apply(self, vector, v_image, alpha)
-
-    def recording_snapshot(self):
-        seen.append((self.image.copy(), self.x.copy()))
-        return real_snapshot(self)
-
-    monkeypatch.setattr(_Iterate, "apply", recording_apply)
-    monkeypatch.setattr(_Iterate, "snapshot", recording_snapshot)
-    # square corners (+-1, +-1), target on an edge: the cached solver creeps
-    inst = helpers.diagonal_instance(
-        np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]]), [1.0, 0.3]
-    )
-    cert = solve_shm_cached(inst, 1e-4)
-    assert cert.kind == FEASIBLE
-    assert cert.iterations > 10_000
-    x = np.full((4, 4), 0.25, dtype=np.longdouble)  # the rank-one start
-    for v, alpha in steps:
-        v = v.astype(np.longdouble)
-        x = (1 - np.longdouble(alpha)) * x + np.longdouble(alpha) * np.outer(v, v)
-    stack = inst.stack.astype(np.longdouble)
-    replay = np.einsum("kij,ij->k", stack, x).astype(float)
-    carried, dense_x = seen[-1]
-    tol = 1e-9 * inst.radius_bound
-    assert np.linalg.norm(carried - replay) <= tol
-    assert np.linalg.norm(np.einsum("kij,ij->k", inst.stack, dense_x) - replay) <= tol
-    assert np.linalg.norm(_dense_image(inst, cert.point) - replay) <= tol
 
 
 # ----------------------------------------------------------------- verify
@@ -597,7 +510,7 @@ def test_verify_flags_shifted_hyperplane():
 
 def test_verify_flags_tampered_margin():
     inst = interval_with(5.0)
-    cert = solve_shm(inst, 1e-6, mode="exact", start=E1)
+    cert = solve_shm(inst, 1e-6, start=E1)
     assert cert.eig_margin == pytest.approx(2.0, abs=1e-9)
     assert verify_certificate(inst, cert, sample_count=100).passed
     # lambda_min - bar is 2, so any stored margin above 4 overstates it
@@ -633,7 +546,7 @@ def test_solver_certificates_are_sound(seed):
     else:
         b = rng.standard_normal(m) * 4.0
     inst = ShmInstance(mats, b)
-    cert = solve_shm(inst, 1e-4, max_iters=50_000, seed=0)
+    cert = solve_shm(inst, 1e-4, max_iters=50_000)
     if cert.kind == INCONCLUSIVE:
         return
     report = verify_certificate(inst, cert, sample_count=300, seed=1)
@@ -668,7 +581,7 @@ def test_witness_fuzz_at_tolerance_depth(seed):
     assert float(d @ inst.b) - vals[-1] > eps * inst.radius_bound
     witnesses = 0
     for solve in (solve_shm, solve_shm_cached):
-        cert = solve(inst, eps, seed=seed)
+        cert = solve(inst, eps)
         assert cert.kind != FEASIBLE
         if cert.kind != WITNESS:
             continue

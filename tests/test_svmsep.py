@@ -17,16 +17,14 @@ from spectrahull import (
     solve_separation,
 )
 
+import helpers
+
 # one-dimensional image sets: a single diagonal family maps the spectraplex
 # onto the closed interval between its smallest and largest diagonal entries
 LEFT_LOW = (np.diag([1.0, 2.0]),)
 RIGHT_HIGH = (np.diag([4.0, 5.0]),)
 LEFT_WIDE = (np.diag([1.0, 3.0]),)
 RIGHT_WIDE = (np.diag([2.0, 5.0]),)
-
-SOLVE_MODES = ("power", "exact", "cached")
-MODES = pytest.mark.parametrize("mode", SOLVE_MODES)
-
 
 def interval_instance(lo, hi):
     return ShmInstance((np.diag([lo, hi]),), np.zeros(1))
@@ -39,15 +37,14 @@ def test_disjoint_intervals_certify_without_moving():
     # the uniform starts sit at the interval midpoints (1.5, 4.5), and both
     # already see no pivot against each other, so the first sweep certifies
     # with the bisector crossing at 3
-    for mode in SOLVE_MODES:
-        cert = solve_separation(LEFT_LOW, RIGHT_HIGH, 1e-4, mode=mode)
-        assert cert.kind == SEPARATED, mode
-        assert cert.iterations == 0, mode
-        assert cert.pair.gap == pytest.approx(3.0), mode
-        assert cert.hyperplane.normal[0] == pytest.approx(3.0), mode
-        assert cert.hyperplane.offset == pytest.approx(9.0), mode
-        assert cert.left_margin == pytest.approx(3.0), mode
-        assert cert.right_margin == pytest.approx(3.0), mode
+    cert = solve_separation(LEFT_LOW, RIGHT_HIGH, 1e-4)
+    assert cert.kind == SEPARATED
+    assert cert.iterations == 0
+    assert cert.pair.gap == pytest.approx(3.0)
+    assert cert.hyperplane.normal[0] == pytest.approx(3.0)
+    assert cert.hyperplane.offset == pytest.approx(9.0)
+    assert cert.left_margin == pytest.approx(3.0)
+    assert cert.right_margin == pytest.approx(3.0)
 
 
 def test_margin_within_error_bound_ends_inconclusive(monkeypatch):
@@ -73,15 +70,14 @@ def test_disjoint_interval_bisector_classifies_endpoints():
 def test_close_intervals_walk_then_certify_between_hulls():
     # hulls [1, 2] and [2.5, 5]: the left side must step toward the gap
     # first, and the certified bisector has to land strictly inside it
-    for mode in SOLVE_MODES:
-        cert = solve_separation((np.diag([1.0, 2.0]),), (np.diag([2.5, 5.0]),), 1e-4, mode=mode)
-        assert cert.kind == SEPARATED, mode
-        assert cert.left_margin is not None and cert.left_margin > 0.0, mode
-        assert cert.right_margin is not None and cert.right_margin > 0.0, mode
-        crossing = cert.hyperplane.offset / cert.hyperplane.normal[0]
-        assert 2.0 - 1e-9 <= crossing <= 2.5 + 1e-9, mode
-        assert cert.hyperplane.side(np.array([2.0])) < 0.0, mode
-        assert cert.hyperplane.side(np.array([2.5])) > 0.0, mode
+    cert = solve_separation((np.diag([1.0, 2.0]),), (np.diag([2.5, 5.0]),), 1e-4)
+    assert cert.kind == SEPARATED
+    assert cert.left_margin is not None and cert.left_margin > 0.0
+    assert cert.right_margin is not None and cert.right_margin > 0.0
+    crossing = cert.hyperplane.offset / cert.hyperplane.normal[0]
+    assert 2.0 - 1e-9 <= crossing <= 2.5 + 1e-9
+    assert cert.hyperplane.side(np.array([2.0])) < 0.0
+    assert cert.hyperplane.side(np.array([2.5])) > 0.0
 
 
 def test_swapping_sides_flips_the_certificate_orientation():
@@ -96,31 +92,42 @@ def test_swapping_sides_flips_the_certificate_orientation():
 
 
 def test_overlapping_intervals_meet_within_tolerance():
-    for mode in SOLVE_MODES:
-        cert = solve_separation(LEFT_WIDE, RIGHT_WIDE, 1e-4, mode=mode)
-        assert cert.kind == INTERSECTING, mode
-        assert cert.pair.gap <= 1e-4 * cert.scale, mode
-        left_val = float(image(interval_instance(1.0, 3.0), cert.pair.left)[0])
-        right_val = float(image(interval_instance(2.0, 5.0), cert.pair.right)[0])
-        assert 1.0 - 1e-9 <= left_val <= 3.0 + 1e-9, mode
-        assert 2.0 - 1e-9 <= right_val <= 5.0 + 1e-9, mode
+    cert = solve_separation(LEFT_WIDE, RIGHT_WIDE, 1e-4)
+    assert cert.kind == INTERSECTING
+    assert cert.pair.gap <= 1e-4 * cert.scale
+    left_val = float(image(interval_instance(1.0, 3.0), cert.pair.left)[0])
+    right_val = float(image(interval_instance(2.0, 5.0), cert.pair.right)[0])
+    assert 1.0 - 1e-9 <= left_val <= 3.0 + 1e-9
+    assert 2.0 - 1e-9 <= right_val <= 5.0 + 1e-9
 
 
-@MODES
-def test_overlapping_squares_meet_and_the_cache_answers_repeat_pivots(mode):
-    # two diagonal families whose images are overlapping squares: the chase
-    # returns to corners it has found before, which a cache answers for free
+def test_overlapping_squares_meet_in_few_oracle_calls():
+    # two diagonal families whose images are the squares [0, 2]^2 and
+    # [1, 3] x [0.7, 2.7]: they share a unit of area, so a walk that moves
+    # to the nearest point of its atoms' hull meets the other side in a few
+    # pivots, and a tighter tolerance costs no more
     def square(x, y):
         return (np.diag([x, x + 2.0, x, x + 2.0]), np.diag([y, y, y + 2.0, y + 2.0]))
 
-    cert = solve_separation(square(0.0, 0.0), square(1.0, 0.7), 1e-3, mode=mode)
-    assert cert.kind == INTERSECTING
-    assert cert.pair.gap <= 1e-3 * cert.scale
-    if mode == "cached":
-        assert cert.stats.cache_hits > 0
-        assert cert.oracle_calls == cert.stats.cache_misses
-    else:
-        assert cert.stats.cache_hits == cert.stats.cache_misses == 0
+    for eps in (1e-3, 1e-4):
+        cert = solve_separation(square(0.0, 0.0), square(1.0, 0.7), eps)
+        assert cert.kind == INTERSECTING, eps
+        assert cert.pair.gap <= eps * cert.scale, eps
+        assert cert.oracle_calls <= 10, (eps, cert.oracle_calls)
+
+
+def test_intersecting_pairs_never_come_back_separated():
+    """Each right family is shifted by a multiple of I per matrix so that
+    both image sets contain the image of I/3; no such pair may be reported
+    Separated, however the two walks move their targets."""
+    rng = np.random.default_rng(2024)
+    for i in range(400):
+        left = np.stack([helpers.random_symmetric(rng, 3) for _ in range(3)])
+        right = np.stack([helpers.random_symmetric(rng, 3) for _ in range(3)])
+        shift = (np.trace(left, axis1=1, axis2=2) - np.trace(right, axis1=1, axis2=2)) / 3.0
+        right = right + shift[:, None, None] * np.eye(3)
+        cert = solve_separation(tuple(left), tuple(right), 1e-2)
+        assert cert.kind != SEPARATED, i
 
 
 def test_identical_instances_touch_at_the_start():
@@ -159,11 +166,6 @@ def test_empty_side_is_rejected():
         solve_separation((), RIGHT_HIGH, 1e-4)
 
 
-def test_unknown_mode_is_rejected():
-    with pytest.raises(ValueError, match="unknown solve mode"):
-        solve_separation(LEFT_LOW, RIGHT_HIGH, 1e-4, mode="mystery")
-
-
 def test_zero_budget_reports_inconclusive():
     # uniform starts land on the interval midpoints 2.0 and 3.5
     cert = solve_separation(LEFT_WIDE, RIGHT_WIDE, 1e-4, max_iters=0)
@@ -187,15 +189,14 @@ def test_interval_verdicts_match_geometry(quarters):
     a, b, c, d = sorted(q * 0.25 for q in quarters)
     eps = 1e-3
     left = (np.diag([a, b]),)
-    for mode in SOLVE_MODES:
-        if c - b >= 0.5:
-            cert = solve_separation(left, (np.diag([c, d]),), eps, mode=mode)
-            assert cert.kind == SEPARATED, mode
-            crossing = cert.hyperplane.offset / cert.hyperplane.normal[0]
-            assert b < crossing < c, mode
-        else:
-            # re-anchor the right interval to start inside [a, b]
-            mid = 0.5 * (a + b)
-            cert = solve_separation(left, (np.diag([mid, mid + d - c + 0.5]),), eps, mode=mode)
-            assert cert.kind == INTERSECTING, mode
-            assert cert.pair.gap <= eps * cert.scale, mode
+    if c - b >= 0.5:
+        cert = solve_separation(left, (np.diag([c, d]),), eps)
+        assert cert.kind == SEPARATED
+        crossing = cert.hyperplane.offset / cert.hyperplane.normal[0]
+        assert b < crossing < c
+    else:
+        # re-anchor the right interval to start inside [a, b]
+        mid = 0.5 * (a + b)
+        cert = solve_separation(left, (np.diag([mid, mid + d - c + 0.5]),), eps)
+        assert cert.kind == INTERSECTING
+        assert cert.pair.gap <= eps * cert.scale
