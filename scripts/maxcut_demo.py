@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Run the cut-value relaxation on a complete or random graph.
 
-Prints the bisection trace (probe level, verdict, iterations, eigen calls),
+Prints the probe trace (probe level, verdict, iterations, eigen calls),
 the final relaxation value with its bracket, and the cut upper bound the
-value implies.  Unit-weight complete graphs anchor at exactly -n, attained
-with every off-diagonal at -1/(n-1), so K2 and K3 are quick sanity checks
-at -2 and -3.
+value implies.  Each probe moves the bracket to the bound its certificate
+proves, so the levels do not halve: after the first witness the next probe
+sits just above the proven lower end.  Unit-weight complete graphs anchor at
+exactly -n, attained with every off-diagonal at -1/(n-1), so K2 and K3 are
+quick sanity checks at -2 and -3.
 """
 
 import argparse

@@ -274,7 +274,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="spectrahull", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
     _add_common(commands.add_parser("solve", help="decide membership or separation"), True)
-    _add_common(commands.add_parser("maxcut", help="bisect the cut relaxation value"), False)
+    _add_common(commands.add_parser("maxcut", help="bracket the cut relaxation value"), False)
     return parser
 
 

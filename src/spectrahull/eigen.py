@@ -16,7 +16,7 @@ import numpy as np
 
 from .symcore import SymmetricMatrix, gershgorin_bound
 
-# perfbench's environment header reads this flag; ROADMAP item 4 renames it
+# perfbench's environment header reads this flag; ROADMAP item 1 drops it
 HAVE_NUMBA = False
 
 __all__ = [
@@ -62,7 +62,7 @@ class PowerResult:
     exited_early: bool
 
 
-# perfbench --trace 1 wraps this name; ROADMAP item 4 renames it
+# perfbench --trace 1 wraps this name; ROADMAP item 1 renames it
 def jacobi_eigen(a: SymmetricMatrix) -> EigenDecomposition:
     """Full spectrum from LAPACK's symmetric eigensolver (``numpy.linalg.eigh``)."""
     values, vectors = np.linalg.eigh(a.entries)

@@ -3,18 +3,22 @@
 Two front ends live here.  The general one embeds linear matrix equalities
 with a free trace into one order higher, homogenizing the right-hand side
 into a corner entry so the target becomes the origin.  The combinatorial one
-drives the membership solver as a feasibility probe inside a bisection over
-the objective value of the cut relaxation.
+drives the membership solver as a feasibility probe inside a search over the
+objective value of the cut relaxation, where each probe's certificate moves
+the bracket to the bound it proves: a witness's separating hyperplane gives
+a spectral lower bound, and a feasible point rescaled to a unit diagonal
+gives an upper bound that it attains.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .chm import FEASIBLE, INCONCLUSIVE, WITNESS
+from .chm import INCONCLUSIVE, WITNESS
 from .symcore import ShmInstance, SpectraplexPoint, SymmetricMatrix
 from .shm import solve_shm
 
@@ -154,6 +158,13 @@ class MaxCutInstance:
     def n(self) -> int:
         return self.weights.shape[0]
 
+    @cached_property
+    def _probe_family(self) -> tuple[SymmetricMatrix, ...]:
+        # W, e_1 e_1^T, ..., e_n e_n^T: validated once, shared by every probe
+        units = np.zeros((self.n, self.n, self.n))
+        units[np.arange(self.n), np.arange(self.n), np.arange(self.n)] = 1.0
+        return (SymmetricMatrix(self.weights),) + tuple(SymmetricMatrix(e) for e in units)
+
     def cut_upper_bound(self, relaxation_value: float) -> float:
         # cut(S) = (sum of all weights - <W, Y>) / 4 for the sign vector of S
         return 0.25 * (float(self.weights.sum()) - relaxation_value)
@@ -161,14 +172,9 @@ class MaxCutInstance:
 
 def _probe_instance(mc: MaxCutInstance, w: float) -> ShmInstance:
     n = mc.n
-    mats = [SymmetricMatrix(mc.weights)]
-    for i in range(n):
-        e = np.zeros((n, n))
-        e[i, i] = 1.0
-        mats.append(SymmetricMatrix(e))
     b = np.full(n + 1, 1.0 / n)
     b[0] = w / n
-    return ShmInstance(tuple(mats), b)
+    return ShmInstance(mc._probe_family, b)
 
 
 def maxcut_feasibility_probe(
@@ -202,7 +208,16 @@ class ProbeRecord:
 
 @dataclass
 class MaxCutResult:
-    """Bisection outcome for the minimum of <W, Y> over unit-diagonal PSD Y."""
+    """Bracket on the minimum of <W, Y> over unit-diagonal PSD Y.
+
+    ``lower`` follows from a witness's certified eigenvalue floor, or is the
+    level of the probe that gave the witness, or the starting bound
+    -n ||W||.  ``upper`` is attained by ``matrix`` (a unit-diagonal PSD
+    matrix rescaled from a probe's point) unless the rescaled point missed
+    its probe level and would not close the bracket, in which case it is
+    that level and ``matrix`` is n times the probe's point.  ``value`` is
+    the lower end.
+    """
 
     value: float
     matrix: np.ndarray
@@ -218,19 +233,61 @@ class MaxCutResult:
         return self.status == "converged"
 
 
+def _unit_diagonal(y: np.ndarray) -> np.ndarray | None:
+    """D^{-1/2} Y D^{-1/2} for D = diag(Y): PSD with an exactly unit diagonal,
+    or None when a diagonal entry is not positive."""
+    d = np.diag(y)
+    if not np.all(d > 0.0):
+        return None
+    s = 1.0 / np.sqrt(d)
+    out = (y * s[:, None]) * s[None, :]
+    out = 0.5 * (out + out.T)
+    np.fill_diagonal(out, 1.0)
+    return out
+
+
+def _witness_floor(cert, n: int, norm_w: float) -> float | None:
+    """The lower bound on omega that a witness proves, or None without one.
+
+    Its normal c and offset h satisfy c . p(X) >= h + eig_margin for every
+    X on the spectraplex (the margin is lambda_min - delta - h).  On the
+    relaxation's points p(X) = (omega, 1/n, ..., 1/n), so omega is at least
+    (h + eig_margin - sum_{i>=1} c_i / n) / c_0 when c_0 > 0.  The rounding
+    of the pivot matrix and of this expression is taken off.
+    """
+    c, h, margin = cert.hyperplane.normal, cert.hyperplane.offset, cert.eig_margin
+    c0 = float(c[0])
+    if not c0 > 0.0:
+        return None
+    rest = float(c[1:].sum()) / n
+    scale = abs(h) + abs(margin) + abs(rest) + float(np.abs(c).sum()) * (norm_w + 1.0)
+    rounding = 4.0 * (n + 4) * np.finfo(float).eps * scale
+    return (h + margin - rest - rounding) / c0
+
+
 def solve_maxcut_relaxation(
     mc: MaxCutInstance,
     epsilon: float = 1e-2,
     max_iters: int = 50_000,
 ) -> MaxCutResult:
-    """Bisect the relaxation value to within epsilon using membership probes.
+    """Bracket the relaxation value to within epsilon using membership probes.
 
     Works in trace-one scale omega = <W, X>: the identity certifies omega = 0
-    feasible, Cauchy-Schwarz bounds the minimum by the negated Frobenius norm,
-    and each probe either lands inside the tolerance ball (feasible, shrink
-    from above) or certifies a separating witness (shrink from below).  An
-    inconclusive probe gets one widened retry before the run aborts with the
-    partial bracket.
+    feasible and Cauchy-Schwarz bounds the minimum by the negated Frobenius
+    norm, where the first probe sits.  Each probe moves the bracket to the
+    bound its own certificate proves.  A witness raises the lower end to its
+    spectral floor (see ``_witness_floor``), at least the probe level.  A
+    feasible point, rescaled to an exactly unit diagonal, lowers the upper
+    end to the value it attains when that is at most the probe level or
+    still closes the bracket; otherwise the upper end falls to the probe
+    level, within the probe tolerance of the relaxation.  Both ends are
+    rounded outward onto a grid of spacing epsilon / (8 n) anchored at the
+    starting bound, so the rounding-level differences that relabelling the
+    vertices makes in the certificates do not move the bracket.  After a
+    bound moves, the next probe sits half the stopping width above the lower
+    end, where a feasible answer closes the bracket; a witness there is
+    followed by a plain halving.  An inconclusive probe gets one widened
+    retry before the run aborts with the partial bracket.
     """
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError("epsilon must be finite and positive")
@@ -244,6 +301,8 @@ def solve_maxcut_relaxation(
     trace: list[ProbeRecord] = []
     widened = 0
     abs_gap = epsilon / n
+    stop_width = epsilon / n
+    spacing = stop_width / 8.0
     warm = "rankone-e"
 
     def probe(omega: float, gap_target: float):
@@ -258,10 +317,34 @@ def solve_maxcut_relaxation(
             warm = cert.point
         return cert
 
-    cert = probe(lo, abs_gap)
-    if cert.kind == FEASIBLE:
+    def settle(omega: float, cert) -> None:
+        """Move the bracket end that the probe's certificate bounds."""
+        nonlocal lo, hi, best_y
+        if cert.kind == WITNESS:
+            floor = _witness_floor(cert, n, norm_w)
+            if floor is not None:
+                floor = -norm_w + spacing * math.floor((floor + norm_w) / spacing)
+                omega = max(omega, floor)
+            # a probe-level upper end can sit up to the probe tolerance
+            # below the minimum, and so below a proven floor
+            lo = min(omega, hi)
+            return
         y = n * cert.point.dense()
-        return MaxCutResult(n * lo, y, lo * n, hi * n, epsilon, "converged", tuple(trace))
+        unit = _unit_diagonal(y)
+        if unit is not None:
+            attained = float(np.vdot(mc.weights, unit))
+            top = -norm_w + spacing * math.ceil((attained / n + norm_w) / spacing)
+            # below the level, or above it but still closing the bracket
+            if top < hi and (attained <= n * omega or top - lo <= stop_width):
+                # mixing in the identity (<W, I> = 0) lifts the attained
+                # value onto the grid point above it
+                keep = n * top / attained
+                hi, best_y = top, keep * unit + (1.0 - keep) * identity_y
+                np.fill_diagonal(best_y, 1.0)
+                return
+        hi, best_y = omega, y
+
+    cert = probe(lo, abs_gap)
     if cert.kind == INCONCLUSIVE:
         cert = probe(lo, 10.0 * abs_gap)
         widened += 1
@@ -269,20 +352,19 @@ def solve_maxcut_relaxation(
             return MaxCutResult(
                 n * lo, best_y, n * lo, n * hi, epsilon, "aborted", tuple(trace), widened
             )
-    stop_width = epsilon / n
+    settle(lo, cert)
+    guess = True
     while hi - lo > stop_width:
         mid = 0.5 * (lo + hi)
-        cert = probe(mid, abs_gap)
+        omega = min(lo + 0.5 * stop_width, mid) if guess else mid
+        cert = probe(omega, abs_gap)
         if cert.kind == INCONCLUSIVE:
-            cert = probe(mid, 10.0 * abs_gap)
+            cert = probe(omega, 10.0 * abs_gap)
             widened += 1
-        if cert.kind == FEASIBLE:
-            hi = mid
-            best_y = n * cert.point.dense()
-        elif cert.kind == WITNESS:
-            lo = mid
-        else:
+        if cert.kind == INCONCLUSIVE:
             return MaxCutResult(
                 n * lo, best_y, n * lo, n * hi, epsilon, "aborted", tuple(trace), widened
             )
+        settle(omega, cert)
+        guess = not (guess and cert.kind == WITNESS)
     return MaxCutResult(n * lo, best_y, n * lo, n * hi, epsilon, "converged", tuple(trace), widened)

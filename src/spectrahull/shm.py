@@ -85,7 +85,6 @@ class PivotMatrixAssembly:
 
     instance: ShmInstance
     target: np.ndarray
-    p_image: np.ndarray
     resid: np.ndarray
     threshold: float
 
@@ -105,7 +104,7 @@ def _make_assembly(instance: ShmInstance, p_image: np.ndarray, target=None) -> P
     # the bar is algebraically (|p'|^2 - |target|^2)/2; the bisector's form
     # survives p' near target
     resid, threshold = _bisector(p_image, target)
-    return PivotMatrixAssembly(instance, target, p_image, resid, threshold)
+    return PivotMatrixAssembly(instance, target, resid, threshold)
 
 
 def assemble_pivot_matrix(instance: ShmInstance, point: SpectraplexPoint) -> PivotMatrixAssembly:
@@ -162,7 +161,7 @@ def pivot_oracle(assembly: PivotMatrixAssembly, strict: bool = False) -> PivotOu
     plain = assembly.threshold
     thr = assembly.strict_threshold if strict else plain
     lam, vec, delta = certified_min_eig(assembly.matrix, thr)
-    # perfbench's trace counts the "jacobi" label; ROADMAP item 4 renames it
+    # perfbench's trace counts the "jacobi" label; ROADMAP item 1 renames it
     if lam <= thr:
         return PivotOutcome(True, vec, lam, lam, thr, "jacobi")
     if lam <= plain:

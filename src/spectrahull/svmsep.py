@@ -28,7 +28,7 @@ from .shm import SolveStats, _Iterate
 from .symcore import ShmInstance, SpectraplexPoint, SymmetricMatrix
 
 # not called here (the kernel runs in shm's step engine), but perfbench
-# --trace 1 wraps this name; ROADMAP item 4 drops it
+# --trace 1 wraps this name; ROADMAP item 1 drops it
 from .symcore import rank_one_image  # noqa: F401
 
 __all__ = [

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from spectrahull import reductions
 from spectrahull import (
     FEASIBLE,
     INCONCLUSIVE,
@@ -232,3 +233,98 @@ def test_relaxation_does_not_depend_on_vertex_labels(name):
         assert res.lower == results[0].lower and res.upper == results[0].upper, name
     assert max(steps) <= 200, (name, steps)
     assert max(steps) <= 2 * min(steps), (name, steps)
+
+
+def _closed_form(name):
+    """Relaxation minimum of <W, Y> for unit weights, by the graph's symmetry:
+    -n on K_n, -2|E| on bipartite graphs, -2n cos(pi/n) on odd cycles."""
+    n, edges = _graph_edges(name)
+    if name[0] == "K" and "," not in name:
+        return -float(n)
+    if name[0] == "C" and n % 2 == 1:
+        return -2.0 * n * math.cos(math.pi / n)
+    return -2.0 * len(edges)
+
+
+def _check_certified_bracket(mc, res, closed, epsilon):
+    assert res.converged
+    w, y = mc.weights, res.matrix
+    assert res.lower <= closed + 1e-12 * (1.0 + abs(closed))
+    assert res.upper - res.lower <= epsilon + 1e-12
+    assert float(np.abs(y - y.T).max()) <= 1e-12 * float(np.abs(y).max())
+    assert float(np.linalg.eigvalsh(y)[0]) >= -1e-12 * mc.n
+    value = float(np.vdot(w, y))
+    if abs(value - res.upper) <= 1e-9 * abs(res.upper):
+        # the upper end is attained by a unit-diagonal matrix, so it is a
+        # proven bound on the minimum
+        assert float(np.abs(np.diag(y) - 1.0).max()) <= 1e-12
+        assert closed <= res.upper + 1e-12 * (1.0 + abs(closed))
+        return True
+    # otherwise the upper end is the level of a feasible probe, and Y is n
+    # times that probe's point: within the probe tolerance of the level
+    assert res.upper in {rec.w for rec in res.trace if rec.kind == FEASIBLE}
+    dev = np.append(np.diag(y) - 1.0, value - res.upper)
+    assert float(np.linalg.norm(dev)) <= epsilon * (1.0 + 1e-9)
+    assert closed <= res.upper + epsilon * (1.0 + abs(closed))
+    return False
+
+
+@pytest.mark.parametrize("epsilon", [1e-2, 1e-3])
+def test_relaxation_bracket_is_certified(epsilon):
+    """The lower end is a proven bound, the upper end is attained (or is a
+    feasible probe's level), and a few probes suffice."""
+    rng = np.random.default_rng(5)
+    attained = 0
+    for wt in rng.uniform(0.1, 10.0, size=4):
+        mc = MaxCutInstance.from_edges(2, [(0, 1, float(wt))])
+        res = solve_maxcut_relaxation(mc, epsilon=epsilon)
+        attained += _check_certified_bracket(mc, res, -2.0 * wt, epsilon)
+        assert len(res.trace) <= 3, (wt, len(res.trace))
+    for name in ["K3", "K4", "C4", "C5", "C6", "K2,3"]:
+        n, edges = _graph_edges(name)
+        mc = MaxCutInstance.from_edges(n, [(i, j, 1.0) for i, j in edges])
+        res = solve_maxcut_relaxation(mc, epsilon=epsilon)
+        attained += _check_certified_bracket(mc, res, _closed_form(name), epsilon)
+        assert len(res.trace) <= (8 if epsilon == 1e-2 else 12), (name, len(res.trace))
+    # the two-vertex graphs, C4 and C6 close on an attained upper end
+    assert attained >= 7
+
+
+@pytest.mark.parametrize("name", ["K2", "K3", "C5", "K2,3"])
+def test_witness_floor_lies_between_level_and_optimum(name):
+    n, edges = _graph_edges(name)
+    mc = MaxCutInstance.from_edges(n, [(i, j, 1.0) for i, j in edges])
+    closed = _closed_form(name)
+    norm_w = float(np.linalg.norm(mc.weights))
+    for share in (1.5, 1.1, 1.02):
+        w = share * closed
+        _, cert = maxcut_feasibility_probe(mc, w, 1e-3 / n, max_iters=50_000)
+        assert cert.kind == WITNESS
+        floor = reductions._witness_floor(cert, n, norm_w)
+        assert floor is not None
+        assert w / n <= floor <= closed / n + 1e-12
+        # the spectral bound of the witness normal, recomputed by eigvalsh
+        c = cert.hyperplane.normal
+        lam = float(np.linalg.eigvalsh(c[0] * mc.weights + np.diag(c[1:]))[0])
+        spectral = (lam - float(c[1:].sum()) / n) / c[0]
+        assert spectral - 1e-9 * norm_w <= floor <= spectral
+
+
+@pytest.mark.parametrize("epsilon", [1.5, 5.0])
+def test_relaxation_with_large_epsilon_converges(epsilon):
+    for name in ["K2", "K3", "C5"]:
+        n, edges = _graph_edges(name)
+        mc = MaxCutInstance.from_edges(n, [(i, j, 1.0) for i, j in edges])
+        res = solve_maxcut_relaxation(mc, epsilon=epsilon)
+        assert res.converged, name
+        assert np.all(np.isfinite(res.matrix)), name
+        assert res.lower <= _closed_form(name) + 1e-12 * n, name
+        assert res.upper - res.lower <= epsilon + 1e-12, name
+
+
+def test_probes_share_one_matrix_family():
+    mc = MaxCutInstance.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
+    first, _ = maxcut_feasibility_probe(mc, -1.0, 1e-2, max_iters=0)
+    second, _ = maxcut_feasibility_probe(mc, -2.0, 1e-2, max_iters=0)
+    assert all(a is b for a, b in zip(first.mats, second.mats))
+    np.testing.assert_array_equal(second.b, np.array([-2.0, 1.0, 1.0, 1.0]) / 3.0)

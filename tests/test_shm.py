@@ -121,9 +121,7 @@ def test_oracle_power_clears_bar():
 
 def test_oracle_certified_absence():
     # hand-built bar well below the spectrum: lambda_min -6 beats -8
-    asm = PivotMatrixAssembly(
-        INTERVAL, np.array([3.0]), np.array([1.0]), np.array([-2.0]), -8.0
-    )
+    asm = PivotMatrixAssembly(INTERVAL, np.array([3.0]), np.array([-2.0]), -8.0)
     assert np.allclose(asm.matrix.entries, -2.0 * np.diag([1.0, 2.0, 3.0]))
     out = pivot_oracle(asm)
     assert not out.found
@@ -138,9 +136,7 @@ def test_oracle_certified_absence():
 def test_oracle_bar_within_error_bound_is_not_certified():
     # lambda_min is -6 exactly; a bar one ulp below it sits inside the bound
     bar = math.nextafter(-6.0, -math.inf)
-    asm = PivotMatrixAssembly(
-        INTERVAL, np.array([3.0]), np.array([1.0]), np.array([-2.0]), bar
-    )
+    asm = PivotMatrixAssembly(INTERVAL, np.array([3.0]), np.array([-2.0]), bar)
     out = pivot_oracle(asm)
     assert not out.found
     assert out.lambda_min > out.threshold
