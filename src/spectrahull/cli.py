@@ -8,12 +8,15 @@ value`` pairs with floats printed to 17 significant digits, so identical
 inputs and flags produce byte-identical output.
 
 Exit codes: 0 feasible or intersecting, 1 witness or separated, 2
-inconclusive or failed verification, 3 usage error, 4 problem parse error.
+inconclusive or failed verification, 3 usage error (an unreadable problem
+file or unwritable report included), 4 problem parse error (a problem file
+that is not UTF-8 included).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -31,7 +34,7 @@ from .reductions import (
 )
 from .shm import solve_shm, verify_certificate
 from .svmsep import SEPARATED, solve_separation
-from .symcore import ShmInstance
+from .symcore import ShmInstance, SymmetricMatrix
 
 __all__ = ["ProblemParseError", "main", "parse_problem", "run"]
 
@@ -115,8 +118,6 @@ def _matrix_block(lines: _Lines, index: int, n: int) -> np.ndarray:
         rows.append(_floats(row_no, row_toks, n))
     mat = np.array(rows)
     try:
-        from .symcore import SymmetricMatrix
-
         return SymmetricMatrix(mat)
     except ValueError as err:
         raise ProblemParseError(line_no, f"matrix A {index}: {err}") from err
@@ -270,7 +271,10 @@ def _add_common(sub, with_solve_flags: bool):
                          help="pivot-step budget per probe")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # one parser per process: nothing changes it after construction, and
+    # parse_args returns a fresh namespace on every call
     parser = _Parser(prog="spectrahull", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
     _add_common(commands.add_parser("solve", help="decide membership or separation"), True)
@@ -394,6 +398,17 @@ def _run_maxcut(mc: MaxCutInstance, args, lines: list[str]) -> int:
     return EXIT_OK if result.converged else EXIT_INCONCLUSIVE
 
 
+def _decode(raw: bytes) -> str:
+    """Problem file bytes as UTF-8 text; a bad byte is a parse error on its line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line_no = raw.count(b"\n", 0, err.start) + 1
+        raise ProblemParseError(
+            line_no, f"not UTF-8 text (byte 0x{raw[err.start]:02x})"
+        ) from None
+
+
 def run(argv=None) -> int:
     """Entry point returning the exit code instead of raising SystemExit."""
     parser = _build_parser()
@@ -405,12 +420,12 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # --help lands here
         return int(exc.code or 0)
     try:
-        text = Path(args.input).read_text()
+        raw = Path(args.input).read_bytes()
     except OSError as err:
         print(f"error: cannot read problem file: {err}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        problem = parse_problem(text)
+        problem = parse_problem(_decode(raw))
     except ProblemParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
@@ -435,7 +450,11 @@ def run(argv=None) -> int:
     text_out = "\n".join(lines) + "\n"
     sys.stdout.write(text_out)
     if args.output is not None:
-        Path(args.output).write_text(text_out)
+        try:
+            Path(args.output).write_text(text_out)
+        except OSError as err:
+            print(f"error: cannot write report: {err}", file=sys.stderr)
+            return EXIT_USAGE
     return code
 
 

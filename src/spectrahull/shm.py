@@ -9,14 +9,15 @@ eigendecomposition for a direction whose quadratic form clears the pivot
 bar, adds it as an atom and moves to the point of the atoms' hull nearest
 the target (Wolfe's minor cycles, ``chm._nearest_weights``), never ending
 farther from it than ``chm``'s segment step toward the same pivot.  This is
-a fully corrective walk (simplicial decomposition).  Factors are built only
-when a result leaves the walk, by ``_factor`` (which
-``prune_representation`` shares): one eigendecomposition of the atoms' sum,
-then affine elimination down to min(m+1, n) terms (the semidefinite
-Caratheodory bound).  Absence of a pivot is certified by a smallest
-eigenvalue that clears the pivot bar by more than its rigorous error bound,
-and converts directly into a separating-hyperplane witness; an eigenvalue
-within its error bound of the bar ends the run inconclusive.
+a fully corrective walk (simplicial decomposition).  A result leaves the
+walk through ``_factor`` (which ``prune_representation`` shares): at most n
+atoms are kept as the factors, more are folded into the eigenvectors of
+their sum by one eigendecomposition, and affine elimination then leaves at
+most min(m+1, n) terms (the semidefinite Caratheodory bound).  Absence of a
+pivot is certified by a smallest eigenvalue that clears the pivot bar by
+more than its rigorous error bound, and converts directly into a
+separating-hyperplane witness; an eigenvalue within its error bound of the
+bar ends the run inconclusive.
 """
 
 from __future__ import annotations
@@ -214,7 +215,8 @@ class _Iterate:
     changes the atoms and the image only when its query found a pivot: the
     pivot joins the atoms, the weights move to the point of their hull
     nearest the target, and atoms left with zero weight are dropped, so at
-    most m+1 remain.  Only ``snapshot`` builds factors.
+    most m+1 remain.  Only ``snapshot`` builds a point from them, and it
+    needs an eigendecomposition only when there are more than n.
     """
 
     def __init__(self, instance: ShmInstance, start, strict: bool, stats):
@@ -267,9 +269,10 @@ class _Iterate:
         return out, asm
 
     def snapshot(self) -> SpectraplexPoint:
-        """Factor the atoms' sum with at most min(m+1, n) terms (see
-        ``_factor``); m+1 atoms can exceed n."""
-        return _factor(self.instance, (self.v.T * self.w) @ self.v)
+        """The atoms as a point with at most min(m+1, n) terms (see
+        ``_factor``): the atoms themselves unless there are more than n of
+        them, which m+1 atoms can be."""
+        return _factor(self.instance, (self.w, self.v, self.ti))
 
 
 def _spectral_factors(instance: ShmInstance, dense: np.ndarray):
@@ -315,14 +318,17 @@ def _prune_arrays(instance: ShmInstance, w: np.ndarray, v: np.ndarray, ti: np.nd
         w = w / w.sum()
 
 
-def _factor(instance: ShmInstance, dense: np.ndarray) -> SpectraplexPoint:
-    """Factor a dense spectraplex point with at most min(m+1, n) terms.
+def _factor(instance: ShmInstance, atoms) -> SpectraplexPoint:
+    """A point with at most min(m+1, n) terms from rank-one atoms
+    ``(w, v, ti)``.
 
-    One eigendecomposition gives at most n factors (parallel ones fold into
-    one eigenvector); affine elimination among their images leaves at most
-    m+1.  Every certificate's point is built here.
+    More than n atoms are first folded into the eigenvectors of their sum,
+    at most n of them; affine elimination among the images then leaves at
+    most m+1.  Every certificate's point is built here.
     """
-    w, v, ti = _spectral_factors(instance, dense)
+    w, v, ti = atoms
+    if w.size > instance.n:
+        w, v, ti = _spectral_factors(instance, (v.T * w) @ v)
     w, v, ti = _prune_arrays(instance, w, v, ti)
     return SpectraplexPoint(w, v, image=w @ ti, term_images=ti)
 
@@ -330,9 +336,9 @@ def _factor(instance: ShmInstance, dense: np.ndarray) -> SpectraplexPoint:
 def prune_representation(instance: ShmInstance, point: SpectraplexPoint) -> SpectraplexPoint:
     """Rewrite a point with at most min(m+1, n) factors and the same image.
 
-    The point's dense matrix is factored by the route every certificate
-    takes: one eigendecomposition, then affine elimination among the factor
-    images.  That result is returned when it has fewer terms than the input;
+    The point's dense matrix is factored by one eigendecomposition, then
+    reduced by affine elimination among the factor images in ``_factor``,
+    the function that builds every certificate's point.  That result is returned when it has fewer terms than the input;
     otherwise the input itself, bound to the instance if it was not.  On
     linear-algebra failure the input is returned unchanged with a logged
     warning rather than a corrupted representation.
@@ -340,7 +346,7 @@ def prune_representation(instance: ShmInstance, point: SpectraplexPoint) -> Spec
     if point.n != instance.n:
         raise ValueError("point order does not match the instance")
     try:
-        out = _factor(instance, point.dense())
+        out = _factor(instance, _spectral_factors(instance, point.dense()))
     except np.linalg.LinAlgError as err:
         logger.warning("prune left the representation unchanged: %s", err)
         return point
@@ -504,7 +510,7 @@ def verify_certificate(
         gen = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         u = gen.standard_normal((sample_count, instance.n))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        samples = np.einsum("kij,ti,tj->tk", instance.stack, u, u, optimize=True)
+        samples = _term_images(instance, u)
         d_w = np.linalg.norm(samples - img, axis=1)
         d_b = np.linalg.norm(samples - instance.b, axis=1)
         closer = int(np.count_nonzero(d_w >= d_b))

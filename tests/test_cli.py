@@ -320,12 +320,38 @@ def test_usage_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err.startswith("error: "), argv
+    unwritable = str(tmp_path / "missing-dir" / "r.txt")
+    assert run(["solve", "--input", shm, "--output", unwritable]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: cannot write report: ")
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = write(tmp_path, "bad.shm", SHM_FILE.replace("b 2.0", "b 2.0 7.0"))
     assert run(["solve", "--input", bad]) == EXIT_PARSE
     assert "line 4" in capsys.readouterr().err
+    binary = tmp_path / "binary.shm"
+    binary.write_bytes(SHM_FILE.replace("b 2.0", "b 2.0\xff").encode("latin-1"))
+    assert run(["solve", "--input", str(binary)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 4: ")
+    assert "0xff" in err
+
+
+def test_runs_in_one_process_do_not_leak_into_each_other(tmp_path, capsys):
+    """The parser is shared between calls; no call's flags reach the next."""
+    shm = write(tmp_path, "interval.shm", SHM_FILE)
+    graph = write(tmp_path, "k2.graph", K2_FILE)
+    assert run(["solve", "--input", shm]) == EXIT_OK
+    first = capsys.readouterr().out
+    strict = ["--strict", "--max-iters", "0", "--verify", "5", "--seed", "3"]
+    assert run(["solve", "--input", shm, *strict]) == EXIT_OK
+    assert "verify passed" in capsys.readouterr().out
+    assert run(["solve", "--input", shm, "--epsilon", "2"]) == EXIT_USAGE
+    assert run(["--help"]) == 0
+    assert run(["maxcut", "--input", graph]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["solve", "--input", shm]) == EXIT_OK
+    assert capsys.readouterr().out == first
 
 
 def test_help_exits_zero(capsys):

@@ -468,6 +468,39 @@ def test_feasible_walk_continues_past_factoring_drift(monkeypatch):
     assert gap == pytest.approx(cert.gap, abs=1e-12)
 
 
+def test_walk_within_n_atoms_returns_them_without_an_eigensolve(monkeypatch):
+    """A walk that ends with at most n atoms hands them out as the factors:
+    the pivot queries are the run's only eigendecompositions."""
+    rng = np.random.default_rng(5)
+    n, m = 6, 2
+    mats = tuple(helpers.random_symmetric(rng, n) for _ in range(m))
+    vs = helpers.random_unit_vectors(rng, n, n)
+    inside = rng.dirichlet(np.ones(n)) @ np.einsum("kij,ti,tj->tk", np.stack(mats), vs, vs)
+    eig_calls, walks = [], []
+    real_eigen, real_snapshot = spectrahull.eigen.jacobi_eigen, shm._Iterate.snapshot
+
+    def counting(a):
+        eig_calls.append(a.n)
+        return real_eigen(a)
+
+    def recording(it):
+        walks.append((it.w.copy(), it.v.copy()))
+        return real_snapshot(it)
+
+    monkeypatch.setattr(spectrahull.eigen, "jacobi_eigen", counting)
+    monkeypatch.setattr(shm._Iterate, "snapshot", recording)
+    for b, kind in ((inside, FEASIBLE), (inside + 1.0, WITNESS)):
+        eig_calls.clear()
+        cert = solve_shm(ShmInstance(mats, b), 1e-4)
+        assert cert.kind == kind
+        assert cert.iterations > 0
+        assert len(eig_calls) == cert.oracle_calls
+        w, v = walks[-1]
+        assert w.size <= n
+        np.testing.assert_array_equal(cert.point.weights, w)
+        np.testing.assert_array_equal(cert.point.vectors, v)
+
+
 # ----------------------------------------------------------------- verify
 
 
