@@ -205,13 +205,12 @@ def _nearest_weights(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     w = np.array(w, dtype=float)
     live = np.arange(w.size)
+    yl, ones = y, np.ones(w.size)
     while True:
-        yl = y[live]
         g = yl @ yl.T
         # s scaled to the rows keeps the system's conditioning independent
         # of the image scale; any positive value gives the same minimiser
-        g += float(np.trace(g)) / live.size or 1.0
-        ones = np.ones(live.size)
+        g += float(g.trace()) / live.size or 1.0
         try:
             a = np.linalg.solve(g, ones)
         except np.linalg.LinAlgError:
@@ -228,7 +227,8 @@ def _nearest_weights(y: np.ndarray, w: np.ndarray) -> np.ndarray:
         wl = np.maximum(wl + ratio[j] * (mu - wl), 0.0)
         wl[np.flatnonzero(out)[j]] = 0.0
         w[live] = wl
-        live = live[wl > 0.0]
+        pos = wl > 0.0
+        live, yl, ones = live[pos], yl[pos], ones[pos]
 
 
 def solve_chm(
@@ -268,6 +268,8 @@ def solve_chm(
     p0 = np.asarray(p0, dtype=float).reshape(-1)
     if p0.shape[0] != point_set.dim:
         raise ValueError(f"query of dim {p0.shape[0]} against points of dim {point_set.dim}")
+    if not np.isfinite(p0).all():
+        raise ValueError("query must be finite")
     if max_iters is None:
         max_iters = default_iteration_cap(epsilon)
     pts = point_set.points

@@ -147,6 +147,8 @@ def _parse_chm(lines: _Lines):
     if toks[0] != "p0":
         raise ProblemParseError(line_no, f"expected 'p0 <values>', got {' '.join(toks)!r}")
     p0 = _floats(line_no, toks[1:], dim)
+    if not np.isfinite(p0).all():
+        raise ProblemParseError(line_no, "query must be finite")
     points = []
     for _ in range(count):
         row_no, row_toks = lines.take("a point line")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import SymmetricMatrix, gershgorin_bound
+from .symcore import SymmetricMatrix, _freeze, gershgorin_bound
 
 # perfbench's environment header reads this flag; ROADMAP item 1 drops it
 HAVE_NUMBA = False
@@ -34,7 +34,10 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Full spectrum, values ascending, eigenvectors as matching columns."""
+    """Full spectrum, values ascending, eigenvectors as matching columns.
+
+    The constructor stores read-only float copies of its arguments.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
@@ -44,6 +47,15 @@ class EigenDecomposition:
             a = np.array(getattr(self, name), dtype=float)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+
+    @classmethod
+    def _owned(cls, values: np.ndarray, vectors: np.ndarray) -> "EigenDecomposition":
+        """Wrap arrays nobody else holds, freezing them in place, without the
+        constructor's copies.  Only for the fresh outputs of ``eigh``."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "values", _freeze(values))
+        object.__setattr__(out, "vectors", _freeze(vectors))
+        return out
 
 
 @dataclass(frozen=True)
@@ -64,9 +76,14 @@ class PowerResult:
 
 # perfbench --trace 1 wraps this name; ROADMAP item 1 renames it
 def jacobi_eigen(a: SymmetricMatrix) -> EigenDecomposition:
-    """Full spectrum from LAPACK's symmetric eigensolver (``numpy.linalg.eigh``)."""
+    """Full spectrum from LAPACK's symmetric eigensolver (``numpy.linalg.eigh``).
+
+    The result holds ``eigh``'s own freshly allocated arrays, made read-only
+    rather than copied: at the orders the walk solves, the constructor's
+    copies add about half the cost of ``eigh`` itself.
+    """
     values, vectors = np.linalg.eigh(a.entries)
-    return EigenDecomposition(values, vectors)
+    return EigenDecomposition._owned(values, vectors)
 
 
 def _gamma(k: int) -> float:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -80,8 +80,10 @@ TERM_DROP_EPS = 1e-14
 class PivotMatrixAssembly:
     """Residual-weighted combination of the instance matrices.
 
-    ``matrix`` is assembled on first use.  ``threshold`` is the pivot bar
-    for quadratic forms; ``strict_threshold`` the tighter one.
+    ``matrix``, the sum of ``resid[k] * A_k``, is assembled on first use as
+    one matrix-vector product with the instance's (m, n*n) ``flat`` view,
+    then symmetrized exactly.  ``threshold`` is the pivot bar for quadratic
+    forms; ``strict_threshold`` the tighter one.
     """
 
     instance: ShmInstance
@@ -92,7 +94,8 @@ class PivotMatrixAssembly:
     @cached_property
     def matrix(self) -> SymmetricMatrix:
         # a combination of validated matrices: symmetrize, skip the checks
-        return SymmetricMatrix._symmetrized(np.tensordot(self.resid, self.instance.stack, axes=1))
+        n = self.instance.n
+        return SymmetricMatrix._symmetrized((self.resid @ self.instance.flat).reshape(n, n))
 
     @property
     def strict_threshold(self) -> float:
@@ -203,27 +206,37 @@ class Certificate:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
+@lru_cache(maxsize=64)
+def _rank_one_start(n: int) -> SpectraplexPoint:
+    """The default ``rankone-e`` start of order n, built and validated once;
+    a frozen point whose arrays are read-only, so solves can share it."""
+    return SpectraplexPoint.uniform_rank_one(n)
+
+
 class _Iterate:
     """One walk: a convex combination of rank-one atoms v v^T on the
     spectraplex, with the atoms' images and the pivot oracle it queries.
 
     ``w`` holds the weights, ``v`` the unit vectors and ``ti`` their images,
-    one row per atom, and ``image`` is ``w @ ti``.  The constructor resolves
-    the start (``rankone-e``, ``identity`` or an explicit point), whose
-    factors become the first atoms; a start with more than one term has its
-    atoms' images made affinely independent by ``_prune_arrays``.  A step
-    changes the atoms and the image only when its query found a pivot: the
-    pivot joins the atoms, the weights move to the point of their hull
-    nearest the target, and atoms left with zero weight are dropped, so at
-    most m+1 remain.  Only ``snapshot`` builds a point from them, and it
-    needs an eigendecomposition only when there are more than n.
+    one row per atom, and ``image`` is ``w @ ti``.  The three are views of
+    the first ``k`` rows of arrays allocated once per walk, with room for
+    m+2 atoms; a step writes into them instead of reallocating.  The
+    constructor resolves the start (``rankone-e``, ``identity`` or an
+    explicit point), whose factors become the first atoms; a start with more
+    than one term has its atoms' images made affinely independent by
+    ``_prune_arrays``.  A step changes the atoms and the image only when its
+    query found a pivot: the pivot joins the atoms, the weights move to the
+    point of their hull nearest the target, and atoms left with zero weight
+    are dropped, so at most m+1 remain.  Only ``snapshot`` builds a point
+    from them, and it needs an eigendecomposition only when there are more
+    than n.
     """
 
     def __init__(self, instance: ShmInstance, start, strict: bool, stats):
         if isinstance(start, SpectraplexPoint):
             point = start
         elif start == "rankone-e":
-            point = SpectraplexPoint.uniform_rank_one(instance.n)
+            point = _rank_one_start(instance.n)
         elif start == "identity":
             point = SpectraplexPoint.uniform_diagonal(instance.n)
         else:
@@ -236,8 +249,27 @@ class _Iterate:
         ti = _term_images(instance, v)
         if w.size > 1:
             w, v, ti = _prune_arrays(instance, w, v, ti)
-        self.w, self.v, self.ti = w, v, ti
+        # m+1 atoms at most, plus the pivot that joins them in a step
+        m, n = instance.m, instance.n
+        self._w, self._v, self._ti = np.empty(m + 2), np.empty((m + 2, n)), np.empty((m + 2, m))
+        self._load(w, v, ti)
         self.image = w @ ti
+
+    def _load(self, w, v, ti):
+        k = self.k = w.size
+        self._w[:k], self._v[:k], self._ti[:k] = w, v, ti
+
+    @property
+    def w(self) -> np.ndarray:
+        return self._w[: self.k]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self._v[: self.k]
+
+    @property
+    def ti(self) -> np.ndarray:
+        return self._ti[: self.k]
 
     def step(self, target):
         """One pivot query against ``target`` and, if it finds a pivot, the
@@ -250,22 +282,29 @@ class _Iterate:
         stats.oracle_calls += 1
         stats.strict_fallbacks += self.strict and out.found and out.threshold > asm.strict_threshold
         if out.found:
+            k = self.k
             v_img = rank_one_image(instance, out.vector)
             seg, alpha = _ta_step(target, self.image, v_img)
-            ti = np.vstack([self.ti, v_img])
+            w0, v, ti = self._w[: k + 1], self._v[: k + 1], self._ti[: k + 1]
+            w0[k], v[k], ti[k] = 0.0, out.vector, v_img
             y = ti - target
-            w = _nearest_weights(y, np.append(self.w, 0.0))
-            if np.linalg.norm(w @ y) > np.linalg.norm(seg - target):
+            w = _nearest_weights(y, w0)
+            near, d = w @ y, seg - target
+            if math.sqrt(near @ near) > math.sqrt(d @ d):
                 # a warm start's weights need not be nearest for this target;
                 # the segment step's point lies in the same hull
-                w = np.append((1.0 - alpha) * self.w, alpha)
+                w = (1.0 - alpha) * w0
+                w[k] = alpha
             keep = w > 0.0
-            w, v, ti = w[keep], np.vstack([self.v, out.vector])[keep], ti[keep]
-            if w.size > instance.m + 1:
+            if keep.all():
+                w0[:] = w
+                self.k = k + 1
+            else:
+                self._load(w[keep], v[keep], ti[keep])
+            if self.k > instance.m + 1:
                 # affinely dependent atoms (a repeated pivot) can all keep weight
-                w, v, ti = _prune_arrays(instance, w, v, ti)
-            self.w, self.v, self.ti = w, v, ti
-            self.image = w @ ti
+                self._load(*_prune_arrays(instance, self.w, self.v, self.ti))
+            self.image = self.w @ self.ti
         return out, asm
 
     def snapshot(self) -> SpectraplexPoint:
@@ -296,11 +335,13 @@ def _prune_arrays(instance: ShmInstance, w: np.ndarray, v: np.ndarray, ti: np.nd
     """Eliminate affine dependencies among the factor images: at most m+1
     terms remain, and the bordered matrix ``[ti^T; 1^T]`` has full column
     rank (smallest singular value above 1e-12 of the largest)."""
+    m = instance.m
     while True:
         t = w.shape[0]
-        mat = np.vstack([ti.T, np.ones((1, t))])
+        mat = np.ones((m + 1, t))
+        mat[:m] = ti.T
         _, sv, vt = np.linalg.svd(mat)
-        if t <= instance.m + 1 and sv[-1] > 1e-12 * sv[0]:
+        if t <= m + 1 and sv[-1] > 1e-12 * sv[0]:
             return w, v, ti
         gamma = vt[-1]
         lead = int(np.argmax(np.abs(gamma) > 1e-9))  # unit norm, so one always clears
@@ -364,8 +405,12 @@ def _run(instance, epsilon, max_iters, start, strict):
     it = _Iterate(instance, start, strict, stats)
     b = instance.b
     radius = instance.radius_bound
-    target_gap = epsilon * radius + NOISE_FLOOR * (1.0 + float(np.linalg.norm(b)))
+    target_gap = epsilon * radius + NOISE_FLOOR * (1.0 + math.sqrt(b @ b))
     iterations = 0
+
+    def gap_of(img):
+        d = img - b
+        return math.sqrt(d @ d)
 
     def certificate(kind, point, gap, **extra):
         return Certificate(
@@ -374,10 +419,10 @@ def _run(instance, epsilon, max_iters, start, strict):
         )
 
     while True:
-        gap = float(np.linalg.norm(it.image - b))
+        gap = gap_of(it.image)
         if gap <= target_gap:
             pt = it.snapshot()
-            exact_gap = float(np.linalg.norm(pt.image - b))
+            exact_gap = gap_of(pt.image)
             if exact_gap <= target_gap:
                 return certificate(FEASIBLE, pt, exact_gap)
             # factoring moved the image out of the ball: keep walking
@@ -390,7 +435,7 @@ def _run(instance, epsilon, max_iters, start, strict):
             # means the residual is float noise and the point is as good as
             # done, provided its factors still land in the ball
             pt = it.snapshot()
-            exact_gap = float(np.linalg.norm(pt.image - b))
+            exact_gap = gap_of(pt.image)
             return certificate(
                 FEASIBLE if exact_gap <= target_gap else INCONCLUSIVE, pt, exact_gap
             )

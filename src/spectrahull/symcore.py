@@ -133,17 +133,20 @@ class SpectraplexPoint:
         Exposed separately so certificates coming from outside (files, tampered
         reports) can be audited without trusting construction-time checks.
         """
+        # array methods rather than the np.all/np.any/norm wrappers: every
+        # returned point passes here, and at small orders the wrappers'
+        # dispatch is most of the cost
         w, v = self.weights, self.vectors
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(w).all() and np.isfinite(v).all()):
             raise ValueError("non-finite data in spectraplex point")
         if w.size == 0:
             raise ValueError("empty combination")
-        if np.any(w <= 0.0) or np.any(w > 1.0 + WEIGHT_SUM_TOL):
+        if w.min() <= 0.0 or w.max() > 1.0 + WEIGHT_SUM_TOL:
             raise ValueError("weights must lie in (0, 1]")
         if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {w.sum()!r}, not 1")
-        norms = np.linalg.norm(v, axis=1)
-        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+        norms = np.sqrt((v * v).sum(axis=1))
+        if (np.abs(norms - 1.0) > UNIT_NORM_TOL).any():
             raise ValueError("factors must be unit vectors")
         if self.term_images is not None and self.term_images.shape[0] != w.shape[0]:
             raise ValueError("term_images out of step with the terms")
@@ -184,14 +187,18 @@ class ShmInstance:
     """A family of symmetric matrices plus the target vector to hit.
 
     ``radius_bound`` is the precomputed over-estimate of the farthest
-    reachable distance; ``stack`` is the (m, n, n) array view used by the
-    numeric kernels.
+    reachable distance; ``stack`` is the (m, n, n) array used by the
+    numeric kernels, and ``flat`` the same memory viewed as (m, n*n), so
+    that a weighted sum of the matrices is one matrix-vector product,
+    ``(y @ flat).reshape(n, n)``.  Both are read-only and made once per
+    instance.
     """
 
     mats: tuple[SymmetricMatrix, ...]
     b: np.ndarray
     radius_bound: float = field(init=False)
     stack: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mats = tuple(
@@ -210,7 +217,9 @@ class ShmInstance:
             raise ValueError("target must be finite")
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "b", _freeze(b))
-        object.__setattr__(self, "stack", _freeze(np.stack([m.entries for m in mats])))
+        stack = _freeze(np.stack([m.entries for m in mats]))
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "flat", stack.reshape(len(mats), n * n))
         object.__setattr__(self, "radius_bound", radius_bound(mats, b))
 
     @property

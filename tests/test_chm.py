@@ -210,6 +210,15 @@ def test_solve_chm_input_validation():
         solve_chm(TRIANGLE, np.zeros(3), 1e-3)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_solve_chm_rejects_a_non_finite_query(bad):
+    """No verdict for a query that is not a point: an infinite one used to
+    come back Feasible with an infinite gap, a NaN one crashed building the
+    witness hyperplane."""
+    with pytest.raises(ValueError, match="query must be finite"):
+        solve_chm(SEGMENT, np.array([bad, 0.0]), 0.1)
+
+
 def test_default_iteration_cap():
     assert default_iteration_cap(1e-2) == 640000
     assert default_iteration_cap(0.5) == 256

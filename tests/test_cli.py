@@ -335,6 +335,10 @@ def test_parse_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 4: ")
     assert "0xff" in err
+    for bad in ("inf", "nan"):
+        query = write(tmp_path, f"{bad}.chm", CHM_FILE.replace("p0 0.25 0.25", f"p0 {bad} 0"))
+        assert run(["solve", "--input", query]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: line 4: query must be finite")
 
 
 def test_runs_in_one_process_do_not_leak_into_each_other(tmp_path, capsys):

@@ -92,6 +92,27 @@ def test_pivot_matrix_is_the_exact_symmetrization():
     assert not entries.flags.writeable
 
 
+@pytest.mark.parametrize("zero", [False, True])
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_pivot_matrix_through_the_flat_view_is_the_dense_contraction(n, m, zero):
+    """One matrix-vector product with the (m, n*n) view gives sum_k r_k A_k,
+    exactly symmetric, and exactly zero for a zero residual."""
+    rng = np.random.default_rng(100 * n + m)
+    mats = tuple(helpers.random_symmetric(rng, n) for _ in range(m))
+    inst = ShmInstance(mats, rng.standard_normal(m))
+    asm = _make_assembly(inst, inst.b if zero else rng.standard_normal(m))
+    entries = asm.matrix.entries
+    dense = sum(r * a for r, a in zip(asm.resid, mats))
+    scale = sum(abs(r) * np.abs(a) for r, a in zip(asm.resid, mats))
+    assert np.all(np.abs(entries - dense) <= 1e-14 * scale)
+    assert np.array_equal(entries, entries.T)
+    if zero:
+        assert not np.any(entries)
+    assert not inst.flat.flags.writeable
+    assert np.shares_memory(inst.flat, inst.stack)
+
+
 def test_assembly_strict_threshold():
     asm = _make_assembly(INTERVAL, np.array([1.0]))
     assert asm.threshold == -1.5
@@ -499,6 +520,56 @@ def test_walk_within_n_atoms_returns_them_without_an_eigensolve(monkeypatch):
         assert w.size <= n
         np.testing.assert_array_equal(cert.point.weights, w)
         np.testing.assert_array_equal(cert.point.vectors, v)
+
+
+def test_solves_share_no_mutable_state(monkeypatch):
+    """The start point cached per order, the walk's atom arrays and the
+    eigendecompositions handed out without a copy carry nothing from one
+    solve into the next: one instance solved twice, around a solve at
+    another order, gives identical certificates."""
+    rng = np.random.default_rng(21)
+
+    def instance(n, m, push):
+        mats = tuple(helpers.random_symmetric(rng, n) for _ in range(m))
+        vs = helpers.random_unit_vectors(rng, n, n)
+        imgs = np.einsum("kij,ti,tj->tk", np.stack(mats), vs, vs)
+        return ShmInstance(mats, rng.dirichlet(np.ones(n)) @ imgs + push)
+
+    decs = []
+    real_eigen = spectrahull.eigen.jacobi_eigen
+
+    def recording(a):
+        dec = real_eigen(a)
+        decs.append((dec, dec.values.copy(), dec.vectors.copy()))
+        return dec
+
+    monkeypatch.setattr(spectrahull.eigen, "jacobi_eigen", recording)
+    start = shm._rank_one_start(5)
+    start_w, start_v = start.weights.copy(), start.vectors.copy()
+    for push in (0.0, 1.0):  # a Feasible walk, then a Witness
+        inst, other = instance(5, 4, push), instance(3, 2, push)
+        first = solve_shm(inst, 1e-4)
+        kept = first.point.weights.copy(), first.point.vectors.copy()
+        solve_shm(other, 1e-4)
+        second = solve_shm(inst, 1e-4)
+        assert first.kind == (WITNESS if push else FEASIBLE)
+        assert first.iterations > 1
+        assert (second.kind, second.iterations, second.oracle_calls) == (
+            first.kind, first.iterations, first.oracle_calls
+        )
+        np.testing.assert_array_equal(second.point.weights, first.point.weights)
+        np.testing.assert_array_equal(second.point.vectors, first.point.vectors)
+        np.testing.assert_array_equal(first.point.weights, kept[0])
+        np.testing.assert_array_equal(first.point.vectors, kept[1])
+    assert shm._rank_one_start(5) is start
+    for arr, was in ((start.weights, start_w), (start.vectors, start_v)):
+        assert not arr.flags.writeable
+        np.testing.assert_array_equal(arr, was)
+    assert decs
+    for dec, values, vectors in decs:
+        assert not dec.values.flags.writeable and not dec.vectors.flags.writeable
+        np.testing.assert_array_equal(dec.values, values)
+        np.testing.assert_array_equal(dec.vectors, vectors)
 
 
 # ----------------------------------------------------------------- verify
