@@ -114,7 +114,6 @@ class ChmCertificate:
     epsilon: float
     iterations: int
     hyperplane: Hyperplane | None = None
-    strict_fallbacks: int = 0
 
 
 def default_iteration_cap(epsilon: float) -> int:
@@ -138,23 +137,19 @@ def _scan(points: np.ndarray, direction: np.ndarray, threshold: float):
     return None
 
 
-def find_pivot(point_set: PointSet, p0, p_prime, strict: bool = False):
+def find_pivot(point_set: PointSet, p0, p_prime):
     """Greedy pivot search.
 
     Minimizes (p' - p0) . v over the set and returns ``(index, point)`` when
-    the minimum clears the pivot inequality, ``None`` otherwise.  The strict
-    variant tightens the bar so accepted points keep working for every target
-    on the far side of the iterate.  Ties resolve to the lowest index.
+    the minimum clears the pivot inequality, ``None`` otherwise.  The
+    minimizer clears any bar that some point of the set clears, the paper's
+    tighter one included.  Ties resolve to the lowest index.
     """
     if point_set.size == 0:
         raise ValueError("empty point set")
     p0 = np.asarray(p0, dtype=float).reshape(-1)
     pp = np.asarray(p_prime, dtype=float).reshape(-1)
-    if strict:
-        c = pp - p0
-        threshold = float(c @ p0)
-    else:
-        c, threshold = _bisector(pp, p0)
+    c, threshold = _bisector(pp, p0)
     idx = _scan(point_set.points, c, threshold)
     if idx is None:
         return None
@@ -236,7 +231,6 @@ def solve_chm(
     p0,
     epsilon: float,
     max_iters: int | None = None,
-    strict: bool = False,
 ) -> ChmCertificate:
     """Decide membership of p0 in the hull of the set.
 
@@ -251,9 +245,6 @@ def solve_chm(
         ``epsilon * R`` of p0 where R is the exact farthest-point distance.
     max_iters : int, optional
         Step budget; defaults to the worst-case feasible-run cap.
-    strict : bool
-        Prefer strict pivots, falling back to ordinary ones (the fallback
-        count is reported on the certificate).
 
     Returns
     -------
@@ -280,30 +271,23 @@ def solve_chm(
     coeffs[start] = 1.0
     p = pts[start].copy()
     target = epsilon * radius + NOISE_FLOOR * (1.0 + float(np.linalg.norm(p0)))
-    fallbacks = 0
     iterations = 0
     while True:
         gap = float(np.linalg.norm(p - p0))
         if gap <= target:
             return ChmCertificate(
-                FEASIBLE, ChmIterate(coeffs, p), gap, radius, epsilon, iterations,
-                strict_fallbacks=fallbacks,
+                FEASIBLE, ChmIterate(coeffs, p), gap, radius, epsilon, iterations
             )
         if iterations >= max_iters:
             return ChmCertificate(
-                INCONCLUSIVE, ChmIterate(coeffs, p), gap, radius, epsilon, iterations,
-                strict_fallbacks=fallbacks,
+                INCONCLUSIVE, ChmIterate(coeffs, p), gap, radius, epsilon, iterations
             )
-        hit = find_pivot(point_set, p0, p, strict=strict)
-        if hit is None and strict:
-            hit = find_pivot(point_set, p0, p, strict=False)
-            if hit is not None:
-                fallbacks += 1
+        hit = find_pivot(point_set, p0, p)
         if hit is None:
             hp = Hyperplane(*_bisector(p, p0))
             return ChmCertificate(
                 WITNESS, ChmIterate(coeffs, p), gap, radius, epsilon, iterations,
-                hyperplane=hp, strict_fallbacks=fallbacks,
+                hyperplane=hp,
             )
         idx, v = hit
         try:
@@ -312,8 +296,7 @@ def solve_chm(
             # a true pivot never equals the iterate, so this selection means
             # the remaining gap is float noise; the iterate is as good as done
             return ChmCertificate(
-                FEASIBLE, ChmIterate(coeffs, p), gap, radius, epsilon, iterations,
-                strict_fallbacks=fallbacks,
+                FEASIBLE, ChmIterate(coeffs, p), gap, radius, epsilon, iterations
             )
         coeffs *= 1.0 - alpha
         coeffs[idx] += alpha

@@ -265,7 +265,6 @@ def _add_common(sub, with_solve_flags: bool):
         sub.add_argument("--max-iters", type=_COUNT, default=None,
                          help="pivot-step budget (default 64/epsilon^2)")
         sub.add_argument("--start", choices=("rankone-e", "identity"), default="rankone-e")
-        sub.add_argument("--strict", action="store_true")
         sub.add_argument("--verify", type=_COUNT, default=None, metavar="SAMPLES")
         sub.add_argument("--seed", type=_COUNT, default=0, help="seeds the --verify sampler")
     else:
@@ -301,9 +300,7 @@ def _point_lines(point) -> list[str]:
 
 
 def _solve_and_report_shm(instance: ShmInstance, args, lines: list[str]):
-    cert = solve_shm(
-        instance, args.epsilon, args.max_iters, start=args.start, strict=args.strict
-    )
+    cert = solve_shm(instance, args.epsilon, args.max_iters, start=args.start)
     lines.append(f"status {cert.kind.capitalize()}")
     lines.append(f"epsilon {_fmt(cert.epsilon)}")
     lines.append(f"radius-bound {_fmt(cert.radius_bound)}")
@@ -350,7 +347,7 @@ def _run_sdp(sdp: SdpFeasibilityInstance, args, lines: list[str]) -> int:
 
 def _run_chm(payload, args, lines: list[str]) -> int:
     point_set, target = payload
-    cert = solve_chm(point_set, target, args.epsilon, args.max_iters, strict=args.strict)
+    cert = solve_chm(point_set, target, args.epsilon, args.max_iters)
     lines.append(f"status {cert.kind.capitalize()}")
     lines.append(f"epsilon {_fmt(cert.epsilon)}")
     lines.append(f"radius {_fmt(cert.radius)}")
@@ -368,7 +365,7 @@ def _run_chm(payload, args, lines: list[str]) -> int:
 
 def _run_svm(payload, args, lines: list[str]) -> int:
     left, right = payload
-    cert = solve_separation(left, right, args.epsilon, args.max_iters, strict=args.strict)
+    cert = solve_separation(left, right, args.epsilon, args.max_iters)
     lines.append(f"status {cert.kind.capitalize()}")
     lines.append(f"epsilon {_fmt(cert.epsilon)}")
     lines.append(f"scale {_fmt(cert.scale)}")

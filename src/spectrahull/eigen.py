@@ -16,7 +16,7 @@ import numpy as np
 
 from .symcore import SymmetricMatrix, _freeze, gershgorin_bound
 
-# perfbench's environment header reads this flag; ROADMAP item 1 drops it
+# perfbench's environment header reads this flag; ROADMAP item 2 drops it
 HAVE_NUMBA = False
 
 __all__ = [
@@ -74,7 +74,7 @@ class PowerResult:
     exited_early: bool
 
 
-# perfbench --trace 1 wraps this name; ROADMAP item 1 renames it
+# perfbench --trace 1 wraps this name; ROADMAP item 2 renames it
 def jacobi_eigen(a: SymmetricMatrix) -> EigenDecomposition:
     """Full spectrum from LAPACK's symmetric eigensolver (``numpy.linalg.eigh``).
 

@@ -83,11 +83,10 @@ class PivotMatrixAssembly:
     ``matrix``, the sum of ``resid[k] * A_k``, is assembled on first use as
     one matrix-vector product with the instance's (m, n*n) ``flat`` view,
     then symmetrized exactly.  ``threshold`` is the pivot bar for quadratic
-    forms; ``strict_threshold`` the tighter one.
+    forms.
     """
 
     instance: ShmInstance
-    target: np.ndarray
     resid: np.ndarray
     threshold: float
 
@@ -97,10 +96,6 @@ class PivotMatrixAssembly:
         n = self.instance.n
         return SymmetricMatrix._symmetrized((self.resid @ self.instance.flat).reshape(n, n))
 
-    @property
-    def strict_threshold(self) -> float:
-        return float(self.resid @ self.target)
-
 
 def _make_assembly(instance: ShmInstance, p_image: np.ndarray, target=None) -> PivotMatrixAssembly:
     if target is None:
@@ -108,7 +103,7 @@ def _make_assembly(instance: ShmInstance, p_image: np.ndarray, target=None) -> P
     # the bar is algebraically (|p'|^2 - |target|^2)/2; the bisector's form
     # survives p' near target
     resid, threshold = _bisector(p_image, target)
-    return PivotMatrixAssembly(instance, target, resid, threshold)
+    return PivotMatrixAssembly(instance, resid, threshold)
 
 
 def assemble_pivot_matrix(instance: ShmInstance, point: SpectraplexPoint) -> PivotMatrixAssembly:
@@ -149,29 +144,24 @@ class PivotOutcome:
         return not self.found and self.margin > 0.0
 
 
-def pivot_oracle(assembly: PivotMatrixAssembly, strict: bool = False) -> PivotOutcome:
+def pivot_oracle(assembly: PivotMatrixAssembly) -> PivotOutcome:
     """Search the spectraplex for a pivot direction with one LAPACK
     eigendecomposition (``method="jacobi"``).
 
-    Only a ``found=False`` outcome pays for the eigenvalue error bound; it is
+    The pivot is the eigenvector of the smallest eigenvalue, which minimises
+    the quadratic form over the spectraplex: whenever any direction clears a
+    bar, this one does, the paper's tighter bar included.  Only a
+    ``found=False`` outcome pays for the eigenvalue error bound; it is
     ``certified`` when the smallest eigenvalue clears the bar by more than
-    that bound.  With ``strict`` the oracle looks for a pivot below the
-    strict bar.  The plain bar lies ``|resid|^2 / 2`` above it, so a miss
-    answers the plain query from the same eigendecomposition: the
-    eigenvector when it clears the plain bar, else absence judged by the
-    error bound.  The outcome's ``threshold`` is the bar it was decided
-    against.
+    that bound.
     """
-    plain = assembly.threshold
-    thr = assembly.strict_threshold if strict else plain
+    thr = assembly.threshold
     lam, vec, delta = certified_min_eig(assembly.matrix, thr)
-    # perfbench's trace counts the "jacobi" label; ROADMAP item 1 renames it
+    # perfbench's trace counts the "jacobi" label; ROADMAP item 2 renames it
     if lam <= thr:
         return PivotOutcome(True, vec, lam, lam, thr, "jacobi")
-    if lam <= plain:
-        return PivotOutcome(True, vec, lam, lam, plain, "jacobi")
-    # lam clears the strict bar, so delta was computed
-    return PivotOutcome(False, None, None, lam, plain, "jacobi", error_bound=delta)
+    # lam clears the bar, so delta was computed
+    return PivotOutcome(False, None, None, lam, thr, "jacobi", error_bound=delta)
 
 
 @dataclass
@@ -179,7 +169,6 @@ class SolveStats:
     """Pivot-query tallies of one run."""
 
     oracle_calls: int = 0
-    strict_fallbacks: int = 0
 
 
 @dataclass
@@ -232,7 +221,7 @@ class _Iterate:
     than n.
     """
 
-    def __init__(self, instance: ShmInstance, start, strict: bool, stats):
+    def __init__(self, instance: ShmInstance, start, stats):
         if isinstance(start, SpectraplexPoint):
             point = start
         elif start == "rankone-e":
@@ -244,7 +233,7 @@ class _Iterate:
         if point.n != instance.n:
             raise ValueError("start point order does not match the instance")
         self.instance = instance
-        self.strict, self.stats = strict, stats
+        self.stats = stats
         w, v = point.weights, point.vectors
         ti = _term_images(instance, v)
         if w.size > 1:
@@ -278,9 +267,8 @@ class _Iterate:
         equals the iterate's."""
         instance, stats = self.instance, self.stats
         asm = _make_assembly(instance, self.image, target)
-        out = pivot_oracle(asm, strict=self.strict)
+        out = pivot_oracle(asm)
         stats.oracle_calls += 1
-        stats.strict_fallbacks += self.strict and out.found and out.threshold > asm.strict_threshold
         if out.found:
             k = self.k
             v_img = rank_one_image(instance, out.vector)
@@ -338,6 +326,8 @@ def _prune_arrays(instance: ShmInstance, w: np.ndarray, v: np.ndarray, ti: np.nd
     m = instance.m
     while True:
         t = w.shape[0]
+        if t == 1:
+            return w, v, ti  # one column with a unit entry: full rank, no SVD
         mat = np.ones((m + 1, t))
         mat[:m] = ti.T
         _, sv, vt = np.linalg.svd(mat)
@@ -396,13 +386,13 @@ def prune_representation(instance: ShmInstance, point: SpectraplexPoint) -> Spec
     return point if point.term_images is not None else bind(instance, point)
 
 
-def _run(instance, epsilon, max_iters, start, strict):
+def _run(instance, epsilon, max_iters, start):
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if max_iters is None:
         max_iters = default_iteration_cap(epsilon)
     stats = SolveStats()
-    it = _Iterate(instance, start, strict, stats)
+    it = _Iterate(instance, start, stats)
     b = instance.b
     radius = instance.radius_bound
     target_gap = epsilon * radius + NOISE_FLOOR * (1.0 + math.sqrt(b @ b))
@@ -456,7 +446,6 @@ def solve_shm(
     epsilon: float,
     max_iters: int | None = None,
     start="rankone-e",
-    strict: bool = False,
 ) -> Certificate:
     """Decide membership of the instance target in the spectrahull.
 
@@ -477,10 +466,8 @@ def solve_shm(
     start : str or SpectraplexPoint
         ``rankone-e`` (uniform rank-one), ``identity`` (maximally mixed), or
         an explicit warm-start point.
-    strict : bool
-        Prefer strict pivots, falling back to plain ones.
     """
-    return _run(instance, epsilon, max_iters, start, strict)
+    return _run(instance, epsilon, max_iters, start)
 
 
 # a second name, which perfbench's shm-cached workload calls

@@ -28,7 +28,7 @@ from .shm import SolveStats, _Iterate
 from .symcore import ShmInstance, SpectraplexPoint, SymmetricMatrix
 
 # not called here (the kernel runs in shm's step engine), but perfbench
-# --trace 1 wraps this name; ROADMAP item 1 drops it
+# --trace 1 wraps this name; ROADMAP item 2 drops it
 from .symcore import rank_one_image  # noqa: F401
 
 __all__ = [
@@ -90,7 +90,6 @@ def solve_separation(
     right,
     epsilon: float,
     max_iters: int | None = None,
-    strict: bool = False,
 ) -> PairCertificate:
     """Decide whether two spectrahulls intersect or are strictly separated.
 
@@ -109,10 +108,7 @@ def solve_separation(
     if max_iters is None:
         max_iters = default_iteration_cap(epsilon)
     stats = SolveStats()
-    sides = (
-        _Iterate(inst_l, "rankone-e", strict, stats),
-        _Iterate(inst_r, "rankone-e", strict, stats),
-    )
+    sides = (_Iterate(inst_l, "rankone-e", stats), _Iterate(inst_r, "rankone-e", stats))
     scale = max(inst_l.radius_bound, inst_r.radius_bound)
     tol = epsilon * scale
     iterations = 0

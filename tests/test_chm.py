@@ -56,16 +56,21 @@ def test_find_pivot_empty_set():
         find_pivot(PointSet(np.zeros((0, 2))), np.zeros(2), np.zeros(2))
 
 
-def test_find_pivot_strict_bar_is_tighter():
-    # at p' = (1, 0) against p0 = (0.25, 0.25) the strict bar is
-    # c . p0 = -0.125 + small, so (0,0) with score 0 no longer qualifies
-    p0 = np.array([0.25, 0.25])
-    pp = np.array([1.0, 0.0])
-    hit = find_pivot(TRIANGLE, p0, pp, strict=True)
-    assert hit is not None
-    idx, v = hit
-    c = pp - p0
-    assert c @ v <= c @ p0
+def test_find_pivot_meets_the_tighter_bar_whenever_a_point_does():
+    """The paper's tighter bar c . v <= c . p0 shares the plain bar's
+    normal, so the scan's minimizer meets it whenever any point does: with
+    p0 in the hull some point always does."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        pts = PointSet(rng.standard_normal((int(rng.integers(2, 9)), 3)))
+        p0 = rng.dirichlet(np.ones(pts.size)) @ pts.points
+        pp = rng.dirichlet(np.ones(pts.size)) @ pts.points
+        c = pp - p0
+        hit = find_pivot(pts, p0, pp)
+        assert hit is not None
+        idx, v = hit
+        assert idx == int(np.argmin(pts.points @ c))
+        assert c @ v <= c @ p0 + 1e-12 * (1.0 + np.abs(c) @ np.abs(p0))
 
 
 # -------------------------------------------------------------------- ta_step
@@ -198,9 +203,9 @@ def test_solve_chm_budget_exhaustion():
 
 
 def test_solve_chm_strict_feasible_without_fallback():
-    cert = solve_chm(TRIANGLE, np.array([0.25, 0.25]), 1e-3, strict=True)
+    # an interior query: every greedy pivot meets the tighter bar
+    cert = solve_chm(TRIANGLE, np.array([0.25, 0.25]), 1e-3)
     assert cert.kind == FEASIBLE
-    assert cert.strict_fallbacks == 0
 
 
 def test_solve_chm_input_validation():

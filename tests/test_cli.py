@@ -314,6 +314,7 @@ def test_usage_errors(tmp_path, capsys):
         ["maxcut", "--input", graph, "--epsilon", "nan"],
         ["maxcut", "--input", graph, "--epsilon", "0"],
         ["maxcut", "--input", graph, "--max-iters", "-1"],
+        ["solve", "--input", shm, "--strict"],  # a retired flag
     ]
     for argv in out_of_range:
         assert run(argv) == EXIT_USAGE, argv
@@ -347,8 +348,8 @@ def test_runs_in_one_process_do_not_leak_into_each_other(tmp_path, capsys):
     graph = write(tmp_path, "k2.graph", K2_FILE)
     assert run(["solve", "--input", shm]) == EXIT_OK
     first = capsys.readouterr().out
-    strict = ["--strict", "--max-iters", "0", "--verify", "5", "--seed", "3"]
-    assert run(["solve", "--input", shm, *strict]) == EXIT_OK
+    flags = ["--start", "identity", "--max-iters", "0", "--verify", "5", "--seed", "3"]
+    assert run(["solve", "--input", shm, *flags]) == EXIT_OK
     assert "verify passed" in capsys.readouterr().out
     assert run(["solve", "--input", shm, "--epsilon", "2"]) == EXIT_USAGE
     assert run(["--help"]) == 0
