@@ -1,19 +1,20 @@
-"""Hull membership over an explicit finite point set.
+"""Hull membership over an explicit finite point set, and the walk every
+solver steps with.
 
-The classic geometric loop: scan for a pivot point that is at least as far
-from the iterate as from the target, take the distance-minimizing step along
-the segment to it, and stop either inside the tolerance ball or at an iterate
-whose bisecting hyperplane separates the target from every point.  This module
-is self-contained in the image space.  It also holds the two step rules the
-spectraplex walk in ``shm`` shares: the segment step ``_ta_step`` and
-Wolfe's minor cycles ``_nearest_weights``, which move a walk's weights to
-the point of its atoms' hull nearest the target.
+``_Walk`` keeps a convex combination of at most m+1 atoms by their images
+in R^m, and its step moves to the point of the atoms' hull nearest the
+target (Wolfe's minor cycles), never farther from it than the segment step.
+``solve_chm`` walks over the coordinate vectors e_i of the set, the paper's
+diagonal embedding: each image is a point and ``w @ v`` are its
+coefficients.  Its pivot is the scan's argmin; when that misses the bar, the
+bisector of the iterate and the target separates the target from every
+point.  ``shm`` and ``svmsep`` walk over rank-one atoms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +36,6 @@ __all__ = [
 FEASIBLE = "feasible"
 WITNESS = "witness"
 INCONCLUSIVE = "inconclusive"
-
-REFRESH_PERIOD = 1000
 
 # absolute stopping floor: below this scale a gap is indistinguishable from
 # roundoff and no hyperplane built from it can be trusted
@@ -226,6 +225,95 @@ def _nearest_weights(y: np.ndarray, w: np.ndarray) -> np.ndarray:
         live, yl, ones = live[pos], yl[pos], ones[pos]
 
 
+class _Walk:
+    """A convex combination of at most m+1 atoms, with their images in R^m.
+
+    ``w``, ``v`` and ``ti`` (weights, atoms, images; one row per atom) are
+    views of the first ``k`` rows of arrays allocated once per walk, with
+    room for m+2 atoms, and ``image`` is ``w @ ti``.
+    """
+
+    def __init__(self, m: int, w: np.ndarray, v: np.ndarray, ti: np.ndarray):
+        # m+1 atoms at most, plus the pivot that joins them in a step
+        self.m = m
+        self._w, self._ti = np.empty(m + 2), np.empty((m + 2, m))
+        self._v = np.empty((m + 2, v.shape[1]))
+        self._load(w, v, ti)
+        self.image = w @ ti
+
+    def _load(self, w, v, ti):
+        k = self.k = w.size
+        self._w[:k], self._v[:k], self._ti[:k] = w, v, ti
+
+    @property
+    def w(self) -> np.ndarray:
+        return self._w[: self.k]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self._v[: self.k]
+
+    @property
+    def ti(self) -> np.ndarray:
+        return self._ti[: self.k]
+
+    def add(self, target: np.ndarray, vec: np.ndarray, img: np.ndarray) -> None:
+        """Step toward the pivot atom ``vec`` with image ``img``, never ending
+        farther from ``target`` than the segment step; raises
+        ``DegeneratePivotError``, changing nothing, when ``img`` is ``image``."""
+        k = self.k
+        seg, alpha = _ta_step(target, self.image, img)
+        w0, v, ti = self._w[: k + 1], self._v[: k + 1], self._ti[: k + 1]
+        w0[k], v[k], ti[k] = 0.0, vec, img
+        y = ti - target
+        w = _nearest_weights(y, w0)
+        near, d = w @ y, seg - target
+        if math.sqrt(near @ near) > math.sqrt(d @ d):
+            # a warm start's weights need not be nearest for this target;
+            # the segment step's point lies in the same hull
+            w = (1.0 - alpha) * w0
+            w[k] = alpha
+        keep = w > 0.0
+        if keep.all():
+            w0[:] = w
+            self.k = k + 1
+        else:
+            self._load(w[keep], v[keep], ti[keep])
+        if self.k > self.m + 1:
+            # affinely dependent atoms (a repeated pivot) can all keep weight
+            self._load(*_prune_arrays(self.m, self.w, self.v, self.ti))
+        self.image = self.w @ self.ti
+
+
+def _prune_arrays(m: int, w: np.ndarray, v: np.ndarray, ti: np.ndarray):
+    """Eliminate affine dependencies among the atom images ``ti`` in R^m: at
+    most m+1 atoms remain, and the bordered matrix ``[ti^T; 1^T]`` has full
+    column rank (smallest singular value above 1e-12 of the largest)."""
+    while True:
+        t = w.shape[0]
+        if t == 1:
+            return w, v, ti  # one column with a unit entry: full rank, no SVD
+        mat = np.ones((m + 1, t))
+        mat[:m] = ti.T
+        _, sv, vt = np.linalg.svd(mat)
+        if t <= m + 1 and sv[-1] > 1e-12 * sv[0]:
+            return w, v, ti
+        gamma = vt[-1]
+        lead = int(np.argmax(np.abs(gamma) > 1e-9))  # unit norm, so one always clears
+        if gamma[lead] < 0.0:
+            gamma = -gamma  # canonical orientation: first significant entry positive
+        pos = gamma > 0.0
+        ratios = w[pos] / gamma[pos]
+        j = int(np.argmin(ratios))
+        theta = float(ratios[j])
+        drop = np.flatnonzero(pos)[j]
+        w = w - theta * gamma
+        w[drop] = 0.0
+        keep = w > 1e-15
+        w, v, ti = w[keep], v[keep], ti[keep]
+        w = w / w.sum()
+
+
 def solve_chm(
     point_set: PointSet,
     p0,
@@ -267,39 +355,30 @@ def solve_chm(
     dists = np.linalg.norm(pts - p0, axis=1)
     radius = float(dists.max())
     start = int(np.argmin(dists))
-    coeffs = np.zeros(point_set.size)
-    coeffs[start] = 1.0
-    p = pts[start].copy()
+    # the atoms are the coordinate vectors e_i, so w @ v are the coefficients
+    walk = _Walk(point_set.dim, np.ones(1), np.eye(1, pts.shape[0], start), pts[start : start + 1])
     target = epsilon * radius + NOISE_FLOOR * (1.0 + float(np.linalg.norm(p0)))
     iterations = 0
+
+    def certificate(kind, gap, hyperplane=None):
+        it = ChmIterate(walk.w @ walk.v, walk.image)
+        return ChmCertificate(kind, it, gap, radius, epsilon, iterations, hyperplane)
+
     while True:
+        p = walk.image
         gap = float(np.linalg.norm(p - p0))
         if gap <= target:
-            return ChmCertificate(
-                FEASIBLE, ChmIterate(coeffs, p), gap, radius, epsilon, iterations
-            )
+            return certificate(FEASIBLE, gap)
         if iterations >= max_iters:
-            return ChmCertificate(
-                INCONCLUSIVE, ChmIterate(coeffs, p), gap, radius, epsilon, iterations
-            )
+            return certificate(INCONCLUSIVE, gap)
         hit = find_pivot(point_set, p0, p)
         if hit is None:
-            hp = Hyperplane(*_bisector(p, p0))
-            return ChmCertificate(
-                WITNESS, ChmIterate(coeffs, p), gap, radius, epsilon, iterations,
-                hyperplane=hp,
-            )
+            return certificate(WITNESS, gap, Hyperplane(*_bisector(p, p0)))
         idx, v = hit
         try:
-            p, alpha = _ta_step(p0, p, v)
+            walk.add(p0, np.eye(1, pts.shape[0], idx)[0], v)
         except DegeneratePivotError:
             # a true pivot never equals the iterate, so this selection means
             # the remaining gap is float noise; the iterate is as good as done
-            return ChmCertificate(
-                FEASIBLE, ChmIterate(coeffs, p), gap, radius, epsilon, iterations
-            )
-        coeffs *= 1.0 - alpha
-        coeffs[idx] += alpha
+            return certificate(FEASIBLE, gap)
         iterations += 1
-        if iterations % REFRESH_PERIOD == 0:
-            p = coeffs @ pts  # shed accumulated roundoff in the recurrence

@@ -1,23 +1,23 @@
 """Membership of a target vector in the image of the spectraplex.
 
 The solver runs the Triangle Algorithm as if solving a convex hull
-membership problem over rank-one points, with one pivot policy.  The iterate
-is a convex combination of at most m+1 rank-one atoms v v^T.  The step
-engine ``_Iterate.step``, which the separation driver also uses with a
-moving target, assembles the residual-weighted pivot matrix, asks one LAPACK
-eigendecomposition for a direction whose quadratic form clears the pivot
-bar, adds it as an atom and moves to the point of the atoms' hull nearest
-the target (Wolfe's minor cycles, ``chm._nearest_weights``), never ending
-farther from it than ``chm``'s segment step toward the same pivot.  This is
-a fully corrective walk (simplicial decomposition).  A result leaves the
-walk through ``_factor`` (which ``prune_representation`` shares): at most n
-atoms are kept as the factors, more are folded into the eigenvectors of
-their sum by one eigendecomposition, and affine elimination then leaves at
-most min(m+1, n) terms (the semidefinite Caratheodory bound).  Absence of a
-pivot is certified by a smallest eigenvalue that clears the pivot bar by
-more than its rigorous error bound, and converts directly into a
-separating-hyperplane witness; an eigenvalue within its error bound of the
-bar ends the run inconclusive.
+membership problem over rank-one points, with one pivot policy and the walk
+``chm`` runs over a point set (``chm._Walk``).  The iterate is a convex
+combination of at most m+1 rank-one atoms v v^T.  Each step of ``_Iterate``,
+which the separation driver also takes with a moving target, assembles the
+residual-weighted pivot matrix, asks one LAPACK eigendecomposition for a
+direction whose quadratic form clears the pivot bar, and hands it to the
+walk, which adds it as an atom and moves to the point of the atoms' hull
+nearest the target.  This is a fully corrective walk (simplicial
+decomposition).  A result leaves the walk through ``_factor`` (which
+``prune_representation`` shares): at most n atoms are kept as the factors,
+more are folded into the eigenvectors of their sum by one
+eigendecomposition, and affine elimination then leaves at most min(m+1, n)
+terms (the semidefinite Caratheodory bound).  Absence of a pivot is
+certified by a smallest eigenvalue that clears the pivot bar by more than
+its rigorous error bound, and converts directly into a separating-hyperplane
+witness; an eigenvalue within its error bound of the bar ends the run
+inconclusive.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .chm import (
     DegeneratePivotError,
     Hyperplane,
     _bisector,
-    _nearest_weights,
-    _ta_step,
+    _prune_arrays,
+    _Walk,
     default_iteration_cap,
 )
 from .eigen import certified_min_eig
@@ -202,23 +202,17 @@ def _rank_one_start(n: int) -> SpectraplexPoint:
     return SpectraplexPoint.uniform_rank_one(n)
 
 
-class _Iterate:
-    """One walk: a convex combination of rank-one atoms v v^T on the
-    spectraplex, with the atoms' images and the pivot oracle it queries.
+class _Iterate(_Walk):
+    """One walk over rank-one atoms v v^T on the spectraplex (see
+    ``chm._Walk``), with the pivot oracle it queries.
 
-    ``w`` holds the weights, ``v`` the unit vectors and ``ti`` their images,
-    one row per atom, and ``image`` is ``w @ ti``.  The three are views of
-    the first ``k`` rows of arrays allocated once per walk, with room for
-    m+2 atoms; a step writes into them instead of reallocating.  The
-    constructor resolves the start (``rankone-e``, ``identity`` or an
+    The constructor resolves the start (``rankone-e``, ``identity`` or an
     explicit point), whose factors become the first atoms; a start with more
     than one term has its atoms' images made affinely independent by
-    ``_prune_arrays``.  A step changes the atoms and the image only when its
-    query found a pivot: the pivot joins the atoms, the weights move to the
-    point of their hull nearest the target, and atoms left with zero weight
-    are dropped, so at most m+1 remain.  Only ``snapshot`` builds a point
-    from them, and it needs an eigendecomposition only when there are more
-    than n.
+    ``_prune_arrays``.  A step asks one eigendecomposition for a pivot and,
+    when it finds one, adds it to the walk.  Only ``snapshot`` builds a
+    point from the atoms, and it needs an eigendecomposition only when there
+    are more than n.
     """
 
     def __init__(self, instance: ShmInstance, start, stats):
@@ -237,62 +231,19 @@ class _Iterate:
         w, v = point.weights, point.vectors
         ti = _term_images(instance, v)
         if w.size > 1:
-            w, v, ti = _prune_arrays(instance, w, v, ti)
-        # m+1 atoms at most, plus the pivot that joins them in a step
-        m, n = instance.m, instance.n
-        self._w, self._v, self._ti = np.empty(m + 2), np.empty((m + 2, n)), np.empty((m + 2, m))
-        self._load(w, v, ti)
-        self.image = w @ ti
-
-    def _load(self, w, v, ti):
-        k = self.k = w.size
-        self._w[:k], self._v[:k], self._ti[:k] = w, v, ti
-
-    @property
-    def w(self) -> np.ndarray:
-        return self._w[: self.k]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self._v[: self.k]
-
-    @property
-    def ti(self) -> np.ndarray:
-        return self._ti[: self.k]
+            w, v, ti = _prune_arrays(instance.m, w, v, ti)
+        super().__init__(instance.m, w, v, ti)
 
     def step(self, target):
         """One pivot query against ``target`` and, if it finds a pivot, the
         step toward it.  Returns the oracle outcome and the assembly it
         answered; raises ``DegeneratePivotError`` when the pivot's image
         equals the iterate's."""
-        instance, stats = self.instance, self.stats
-        asm = _make_assembly(instance, self.image, target)
+        asm = _make_assembly(self.instance, self.image, target)
         out = pivot_oracle(asm)
-        stats.oracle_calls += 1
+        self.stats.oracle_calls += 1
         if out.found:
-            k = self.k
-            v_img = rank_one_image(instance, out.vector)
-            seg, alpha = _ta_step(target, self.image, v_img)
-            w0, v, ti = self._w[: k + 1], self._v[: k + 1], self._ti[: k + 1]
-            w0[k], v[k], ti[k] = 0.0, out.vector, v_img
-            y = ti - target
-            w = _nearest_weights(y, w0)
-            near, d = w @ y, seg - target
-            if math.sqrt(near @ near) > math.sqrt(d @ d):
-                # a warm start's weights need not be nearest for this target;
-                # the segment step's point lies in the same hull
-                w = (1.0 - alpha) * w0
-                w[k] = alpha
-            keep = w > 0.0
-            if keep.all():
-                w0[:] = w
-                self.k = k + 1
-            else:
-                self._load(w[keep], v[keep], ti[keep])
-            if self.k > instance.m + 1:
-                # affinely dependent atoms (a repeated pivot) can all keep weight
-                self._load(*_prune_arrays(instance, self.w, self.v, self.ti))
-            self.image = self.w @ self.ti
+            self.add(target, out.vector, rank_one_image(self.instance, out.vector))
         return out, asm
 
     def snapshot(self) -> SpectraplexPoint:
@@ -319,36 +270,6 @@ def _spectral_factors(instance: ShmInstance, dense: np.ndarray):
     return vals / vals.sum(), v, _term_images(instance, v)
 
 
-def _prune_arrays(instance: ShmInstance, w: np.ndarray, v: np.ndarray, ti: np.ndarray):
-    """Eliminate affine dependencies among the factor images: at most m+1
-    terms remain, and the bordered matrix ``[ti^T; 1^T]`` has full column
-    rank (smallest singular value above 1e-12 of the largest)."""
-    m = instance.m
-    while True:
-        t = w.shape[0]
-        if t == 1:
-            return w, v, ti  # one column with a unit entry: full rank, no SVD
-        mat = np.ones((m + 1, t))
-        mat[:m] = ti.T
-        _, sv, vt = np.linalg.svd(mat)
-        if t <= m + 1 and sv[-1] > 1e-12 * sv[0]:
-            return w, v, ti
-        gamma = vt[-1]
-        lead = int(np.argmax(np.abs(gamma) > 1e-9))  # unit norm, so one always clears
-        if gamma[lead] < 0.0:
-            gamma = -gamma  # canonical orientation: first significant entry positive
-        pos = gamma > 0.0
-        ratios = w[pos] / gamma[pos]
-        j = int(np.argmin(ratios))
-        theta = float(ratios[j])
-        drop = np.flatnonzero(pos)[j]
-        w = w - theta * gamma
-        w[drop] = 0.0
-        keep = w > 1e-15
-        w, v, ti = w[keep], v[keep], ti[keep]
-        w = w / w.sum()
-
-
 def _factor(instance: ShmInstance, atoms) -> SpectraplexPoint:
     """A point with at most min(m+1, n) terms from rank-one atoms
     ``(w, v, ti)``.
@@ -360,7 +281,7 @@ def _factor(instance: ShmInstance, atoms) -> SpectraplexPoint:
     w, v, ti = atoms
     if w.size > instance.n:
         w, v, ti = _spectral_factors(instance, (v.T * w) @ v)
-    w, v, ti = _prune_arrays(instance, w, v, ti)
+    w, v, ti = _prune_arrays(instance.m, w, v, ti)
     return SpectraplexPoint(w, v, image=w @ ti, term_images=ti)
 
 

@@ -288,6 +288,11 @@ def test_c08_pair_separation_and_intersection():
 
 
 def test_c09_iteration_budgets_and_cache_parity(corpus):
+    for rec in diagonal_records(corpus):
+        # the point solver walks with the spectraplex solver's atom engine:
+        # a handful of steps per case, not the segment step's O(1/eps^2)
+        chm = rec.extra["chm"]
+        assert chm.iterations <= 50, f"{rec.label}: {chm.iterations} point-solver steps"
     for rec in corpus:
         cap = math.ceil(64.0 / rec.epsilon**2)
         for cert in (rec.power, rec.cached):

@@ -161,7 +161,9 @@ def test_solve_chm_segment_witness():
     assert cert.kind == WITNESS
     assert np.allclose(cert.iterate.current, [0.5, 0.5])
     delta = np.sqrt(0.5)
-    assert delta <= cert.gap <= 2.0 * delta
+    # the walk's weights come from a linear solve, (0.5, 0.49999999999999994)
+    # here, so the gap may fall below delta by a few ulps
+    assert delta * (1.0 - 4.0 * np.finfo(float).eps) <= cert.gap <= 2.0 * delta
     assert cert.gap == pytest.approx(delta, abs=1e-12)
     hp = cert.hyperplane
     assert np.allclose(hp.normal, [0.5, 0.5])
@@ -200,12 +202,6 @@ def test_solve_chm_budget_exhaustion():
     cert = solve_chm(SEGMENT, np.array([0.0, 0.0]), 1e-3, max_iters=0)
     assert cert.kind == INCONCLUSIVE
     assert cert.iterations == 0
-
-
-def test_solve_chm_strict_feasible_without_fallback():
-    # an interior query: every greedy pivot meets the tighter bar
-    cert = solve_chm(TRIANGLE, np.array([0.25, 0.25]), 1e-3)
-    assert cert.kind == FEASIBLE
 
 
 def test_solve_chm_input_validation():
@@ -262,7 +258,8 @@ def test_driven_gaps_strictly_decrease(seed):
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_solver_verdicts_are_certified(seed):
-    """Feasible gaps meet the tolerance; witnesses dominate all distances."""
+    """Feasible gaps meet the tolerance with convex coefficients that
+    reproduce the point; witnesses dominate all distances."""
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 4))
     count = int(rng.integers(1, 7))
@@ -274,6 +271,13 @@ def test_solver_verdicts_are_certified(seed):
     cert = solve_chm(pts, p0, 1e-4)
     if cert.kind == FEASIBLE:
         assert cert.gap <= 1e-4 * cert.radius + 1e-15
+        coeffs = cert.iterate.coeffs
+        assert coeffs.min() >= 0.0
+        assert coeffs.sum() == pytest.approx(1.0, abs=1e-12)
+        scale = 1.0 + float(np.abs(pts.points).max())
+        assert np.abs(coeffs @ pts.points - cert.iterate.current).max() <= 1e-12 * scale
+        # Caratheodory: the walk keeps at most dim+1 atoms
+        assert np.count_nonzero(coeffs > 0.0) <= dim + 1
     elif cert.kind == WITNESS:
         p = cert.iterate.current
         for q in pts.points:
