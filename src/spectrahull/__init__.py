@@ -13,7 +13,6 @@ from .symcore import (
     ShmInstance,
     SpectraplexPoint,
     SymmetricMatrix,
-    bind,
     frobenius_dot,
     gershgorin_bound,
     image,
@@ -102,7 +101,6 @@ __all__ = [
     "VerificationReport",
     "WITNESS",
     "assemble_pivot_matrix",
-    "bind",
     "certified_min_eig",
     "find_pivot",
     "frobenius_dot",

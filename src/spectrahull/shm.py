@@ -47,7 +47,6 @@ from .symcore import (
     SpectraplexPoint,
     SymmetricMatrix,
     _term_images,
-    bind,
     image,
     rank_one_image,
 )
@@ -107,10 +106,9 @@ def _make_assembly(instance: ShmInstance, p_image: np.ndarray, target=None) -> P
 
 
 def assemble_pivot_matrix(instance: ShmInstance, point: SpectraplexPoint) -> PivotMatrixAssembly:
-    """Build the pivot matrix and bar for a bound iterate."""
-    if point.image is None:
-        raise ValueError("point must be bound to the instance (see symcore.bind)")
-    return _make_assembly(instance, np.asarray(point.image, dtype=float))
+    """Build the pivot matrix and bar at a point, from its image (see
+    ``symcore.image``)."""
+    return _make_assembly(instance, image(instance, point))
 
 
 @dataclass(frozen=True)
@@ -246,10 +244,10 @@ class _Iterate(_Walk):
             self.add(target, out.vector, rank_one_image(self.instance, out.vector))
         return out, asm
 
-    def snapshot(self) -> SpectraplexPoint:
-        """The atoms as a point with at most min(m+1, n) terms (see
-        ``_factor``): the atoms themselves unless there are more than n of
-        them, which m+1 atoms can be."""
+    def snapshot(self) -> tuple[SpectraplexPoint, np.ndarray]:
+        """The atoms as a point with at most min(m+1, n) terms, and its
+        image (see ``_factor``): the atoms themselves unless there are more
+        than n of them, which m+1 atoms can be."""
         return _factor(self.instance, (self.w, self.v, self.ti))
 
 
@@ -270,19 +268,21 @@ def _spectral_factors(instance: ShmInstance, dense: np.ndarray):
     return vals / vals.sum(), v, _term_images(instance, v)
 
 
-def _factor(instance: ShmInstance, atoms) -> SpectraplexPoint:
+def _factor(instance: ShmInstance, atoms) -> tuple[SpectraplexPoint, np.ndarray]:
     """A point with at most min(m+1, n) terms from rank-one atoms
-    ``(w, v, ti)``.
+    ``(w, v, ti)``, and the point's image.
 
     More than n atoms are first folded into the eigenvectors of their sum,
     at most n of them; affine elimination among the images then leaves at
-    most m+1.  Every certificate's point is built here.
+    most m+1.  The image is the weight combination of the kept atoms'
+    images, so it costs no further kernel call.  Every certificate's point
+    is built here.
     """
     w, v, ti = atoms
     if w.size > instance.n:
         w, v, ti = _spectral_factors(instance, (v.T * w) @ v)
     w, v, ti = _prune_arrays(instance.m, w, v, ti)
-    return SpectraplexPoint(w, v, image=w @ ti, term_images=ti)
+    return SpectraplexPoint(w, v), w @ ti
 
 
 def prune_representation(instance: ShmInstance, point: SpectraplexPoint) -> SpectraplexPoint:
@@ -290,21 +290,19 @@ def prune_representation(instance: ShmInstance, point: SpectraplexPoint) -> Spec
 
     The point's dense matrix is factored by one eigendecomposition, then
     reduced by affine elimination among the factor images in ``_factor``,
-    the function that builds every certificate's point.  That result is returned when it has fewer terms than the input;
-    otherwise the input itself, bound to the instance if it was not.  On
-    linear-algebra failure the input is returned unchanged with a logged
-    warning rather than a corrupted representation.
+    the function that builds every certificate's point.  That result is
+    returned when it has fewer terms than the input; otherwise the input
+    itself.  On linear-algebra failure the input is returned unchanged with
+    a logged warning rather than a corrupted representation.
     """
     if point.n != instance.n:
         raise ValueError("point order does not match the instance")
     try:
-        out = _factor(instance, _spectral_factors(instance, point.dense()))
+        out, _ = _factor(instance, _spectral_factors(instance, point.dense()))
     except np.linalg.LinAlgError as err:
         logger.warning("prune left the representation unchanged: %s", err)
         return point
-    if out.num_terms < point.num_terms:
-        return out
-    return point if point.term_images is not None else bind(instance, point)
+    return out if out.num_terms < point.num_terms else point
 
 
 def _run(instance, epsilon, max_iters, start):
@@ -332,21 +330,21 @@ def _run(instance, epsilon, max_iters, start):
     while True:
         gap = gap_of(it.image)
         if gap <= target_gap:
-            pt = it.snapshot()
-            exact_gap = gap_of(pt.image)
+            pt, img = it.snapshot()
+            exact_gap = gap_of(img)
             if exact_gap <= target_gap:
                 return certificate(FEASIBLE, pt, exact_gap)
             # factoring moved the image out of the ball: keep walking
         if iterations >= max_iters:
-            return certificate(INCONCLUSIVE, it.snapshot(), gap)
+            return certificate(INCONCLUSIVE, it.snapshot()[0], gap)
         try:
             out, asm = it.step(b)
         except DegeneratePivotError:
             # a true pivot never shares the iterate's image; reaching here
             # means the residual is float noise and the point is as good as
             # done, provided its factors still land in the ball
-            pt = it.snapshot()
-            exact_gap = gap_of(pt.image)
+            pt, img = it.snapshot()
+            exact_gap = gap_of(img)
             return certificate(
                 FEASIBLE if exact_gap <= target_gap else INCONCLUSIVE, pt, exact_gap
             )
@@ -355,11 +353,11 @@ def _run(instance, epsilon, max_iters, start):
         elif out.certified:
             hp = Hyperplane(asm.resid.copy(), asm.threshold)
             return certificate(
-                WITNESS, it.snapshot(), gap, hyperplane=hp, eig_margin=out.margin
+                WITNESS, it.snapshot()[0], gap, hyperplane=hp, eig_margin=out.margin
             )
         else:
             # no pivot, but the bar lies within the eigenvalue error bound
-            return certificate(INCONCLUSIVE, it.snapshot(), gap)
+            return certificate(INCONCLUSIVE, it.snapshot()[0], gap)
 
 
 def solve_shm(

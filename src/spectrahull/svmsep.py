@@ -58,8 +58,9 @@ class PairCertificate:
 
     Separated carries the bisector of the final connecting segment, with the
     left hull strictly below the offset and the right hull strictly above,
-    plus each side's certified eigenvalue margin, error bound taken off.  Intersecting carries a
-    pair of representations whose images agree within tolerance.
+    plus each side's certified eigenvalue margin, error bound taken off.
+    Intersecting carries a pair of representations whose images agree within
+    tolerance.
     """
 
     kind: str
@@ -96,8 +97,8 @@ def solve_separation(
     ``left`` and ``right`` are matrix families (or instances, targets
     ignored) sharing the image dimension; their orders may differ.  The
     distance tolerance is ``epsilon`` times the larger side's radius bound.
-    Sides are visited most-recently-successful first, alternating by sweep
-    parity until one succeeds.
+    Each sweep visits the side whose step last found a pivot first, the left
+    side before any has.
     """
     inst_l = _coerce_side(left, "left")
     inst_r = _coerce_side(right, "right")
@@ -112,11 +113,10 @@ def solve_separation(
     scale = max(inst_l.radius_bound, inst_r.radius_bound)
     tol = epsilon * scale
     iterations = 0
-    sweep = 0
-    last_success: int | None = None
+    last_success = 0
 
     def certificate(kind: str, gap: float, **extra) -> PairCertificate:
-        pair = PairIterate(sides[0].snapshot(), sides[1].snapshot(), gap)
+        pair = PairIterate(sides[0].snapshot()[0], sides[1].snapshot()[0], gap)
         return PairCertificate(
             kind, pair, epsilon, scale, iterations, stats.oracle_calls, stats=stats, **extra
         )
@@ -127,13 +127,8 @@ def solve_separation(
             return certificate(INTERSECTING, gap)
         if iterations >= max_iters:
             return certificate(INCONCLUSIVE, gap)
-        if last_success is None:
-            order = (sweep % 2, 1 - sweep % 2)
-        else:
-            order = (last_success, 1 - last_success)
-        sweep += 1
         margins = [None, None]
-        for k in order:
+        for k in (last_success, 1 - last_success):
             try:
                 out, _ = sides[k].step(sides[1 - k].image)
             except DegeneratePivotError:

@@ -8,7 +8,6 @@ combinations of unit rank-one factors.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,6 @@ __all__ = [
     "rank_one_image",
     "radius_bound",
     "gershgorin_bound",
-    "bind",
 ]
 
 ASYMMETRY_TOL = 1e-9
@@ -100,15 +98,13 @@ class SpectraplexPoint:
     """Unit-trace PSD matrix in factored form, X = sum_t w_t v_t v_t^T.
 
     Weights are strictly positive and sum to one; every factor is a unit
-    vector, so X lives on the spectraplex by construction.  ``image`` and
-    ``term_images`` are caches filled by :func:`bind` once the point is
-    attached to an instance; the algebra never requires them.
+    vector, so X lives on the spectraplex by construction.  The point holds
+    only its factors: its image under an instance is :func:`image`, and a
+    solver's walk keeps the images of its own atoms.
     """
 
     weights: np.ndarray
     vectors: np.ndarray
-    image: np.ndarray | None = None
-    term_images: np.ndarray | None = None
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float).reshape(-1)
@@ -121,10 +117,6 @@ class SpectraplexPoint:
             )
         object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "vectors", _freeze(v))
-        for name in ("image", "term_images"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, _freeze(np.array(val, dtype=float)))
         self.validate()
 
     def validate(self) -> None:
@@ -148,8 +140,6 @@ class SpectraplexPoint:
         norms = np.sqrt((v * v).sum(axis=1))
         if (np.abs(norms - 1.0) > UNIT_NORM_TOL).any():
             raise ValueError("factors must be unit vectors")
-        if self.term_images is not None and self.term_images.shape[0] != w.shape[0]:
-            raise ValueError("term_images out of step with the terms")
 
     @property
     def n(self) -> int:
@@ -272,14 +262,6 @@ def image(instance: ShmInstance, point: SpectraplexPoint) -> np.ndarray:
     if point.n != instance.n:
         raise DimensionError(f"point order {point.n} against instance order {instance.n}")
     return point.weights @ _term_images(instance, point.vectors)
-
-
-def bind(instance: ShmInstance, point: SpectraplexPoint) -> SpectraplexPoint:
-    """Return a copy of the point carrying cached per-term and total images."""
-    if point.n != instance.n:
-        raise DimensionError(f"point order {point.n} against instance order {instance.n}")
-    ti = _term_images(instance, point.vectors)
-    return dataclasses.replace(point, image=point.weights @ ti, term_images=ti)
 
 
 def radius_bound(mats, b) -> float:

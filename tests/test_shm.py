@@ -17,7 +17,6 @@ from spectrahull import (
     ShmInstance,
     SpectraplexPoint,
     assemble_pivot_matrix,
-    bind,
     certified_min_eig,
     image,
     pivot_oracle,
@@ -47,7 +46,7 @@ def interval_with(b):
 
 
 def test_assembly_interval_from_corner():
-    asm = assemble_pivot_matrix(INTERVAL, bind(INTERVAL, E1))
+    asm = assemble_pivot_matrix(INTERVAL, E1)
     assert np.allclose(asm.matrix.entries, -np.diag([1.0, 2.0, 3.0]))
     assert asm.threshold == -1.5
     assert np.allclose(asm.resid, [-1.0])
@@ -59,7 +58,7 @@ def test_assembly_zero_residual():
         np.array([0.5, 0.5]),
         np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
     )
-    asm = assemble_pivot_matrix(INTERVAL, bind(INTERVAL, half))
+    asm = assemble_pivot_matrix(INTERVAL, half)
     assert np.allclose(asm.matrix.entries, 0.0)
     assert asm.threshold == 0.0
 
@@ -68,15 +67,10 @@ def test_assembly_two_constraint_example():
     coords = ShmInstance(
         (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), np.array([0.5, 0.5])
     )
-    corner = bind(coords, SpectraplexPoint.rank_one([1.0, 0.0]))
+    corner = SpectraplexPoint.rank_one([1.0, 0.0])
     asm = assemble_pivot_matrix(coords, corner)
     assert np.allclose(asm.matrix.entries, np.diag([0.5, -0.5]))
     assert asm.threshold == 0.25
-
-
-def test_assembly_requires_bound_point():
-    with pytest.raises(ValueError):
-        assemble_pivot_matrix(INTERVAL, E1)
 
 
 def test_pivot_matrix_is_the_exact_symmetrization():
@@ -279,7 +273,8 @@ def test_solve_cached_interval_call_budget():
     cert1 = solve_shm_cached(INTERVAL, 1e-6, start=E1)
     assert cert1.kind == FEASIBLE
     assert cert1.oracle_calls <= 2
-    for img in cert1.point.term_images.ravel():
+    for v in cert1.point.vectors:
+        (img,) = rank_one_image(INTERVAL, v)
         assert 1.0 - 1e-12 <= img <= 3.0 + 1e-12
 
 
@@ -349,7 +344,7 @@ def test_prune_three_terms_down_to_limit():
 
 
 def test_prune_leaves_small_representations_alone():
-    p = bind(INTERVAL, SpectraplexPoint(np.array([0.5, 0.5]), np.eye(3)[:2]))
+    p = SpectraplexPoint(np.array([0.5, 0.5]), np.eye(3)[:2])
     assert prune_representation(INTERVAL, p) is p
 
 

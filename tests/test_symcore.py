@@ -10,7 +10,6 @@ from spectrahull import (
     ShmInstance,
     SpectraplexPoint,
     SymmetricMatrix,
-    bind,
     frobenius_dot,
     gershgorin_bound,
     image,
@@ -163,19 +162,6 @@ def test_gershgorin_frozen():
     assert gershgorin_bound(SymmetricMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))) == 3.0
     assert gershgorin_bound(SymmetricMatrix(np.array([[1.0, 2.0], [2.0, 5.0]]))) == 7.0
     assert gershgorin_bound(OFFDIAG) == 1.0
-
-
-def test_bind_caches_consistent_images():
-    rng = np.random.default_rng(3)
-    inst = ShmInstance(
-        tuple(helpers.random_symmetric(rng, 3) for _ in range(2)), rng.standard_normal(2)
-    )
-    p = SpectraplexPoint(
-        rng.dirichlet(np.ones(3)), helpers.random_unit_vectors(rng, 3, 3)
-    )
-    bound = bind(inst, p)
-    assert np.allclose(bound.image, image(inst, p))
-    assert np.allclose(bound.weights @ bound.term_images, bound.image)
 
 
 # ----------------------------------------------------------------- invariants
