@@ -56,7 +56,7 @@ class PointSet:
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must form a (count, dim) array")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -314,6 +314,18 @@ def _prune_arrays(m: int, w: np.ndarray, v: np.ndarray, ti: np.ndarray):
         w = w / w.sum()
 
 
+def _query_distances(pts: np.ndarray, p0: np.ndarray) -> tuple[np.ndarray, float]:
+    """Distance from the query to every point, and the farthest one.
+    ValueError when that overflows, since a stopping rule scaled by it would
+    pass any gap."""
+    with np.errstate(over="ignore"):
+        dists = np.linalg.norm(pts - p0, axis=1)
+    radius = float(dists.max())
+    if not math.isfinite(radius):
+        raise ValueError("the farthest point's distance from the query overflows")
+    return dists, radius
+
+
 def solve_chm(
     point_set: PointSet,
     p0,
@@ -352,8 +364,7 @@ def solve_chm(
     if max_iters is None:
         max_iters = default_iteration_cap(epsilon)
     pts = point_set.points
-    dists = np.linalg.norm(pts - p0, axis=1)
-    radius = float(dists.max())
+    dists, radius = _query_distances(pts, p0)
     start = int(np.argmin(dists))
     # the atoms are the coordinate vectors e_i, so w @ v are the coefficients
     walk = _Walk(point_set.dim, np.ones(1), np.eye(1, pts.shape[0], start), pts[start : start + 1])

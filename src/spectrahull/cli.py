@@ -24,11 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .chm import FEASIBLE, INCONCLUSIVE, WITNESS, PointSet, solve_chm
+from .chm import FEASIBLE, INCONCLUSIVE, WITNESS, PointSet, _query_distances, solve_chm
 from .reductions import (
     MaxCutInstance,
     RecessionDirectionError,
     SdpFeasibilityInstance,
+    SdpReduction,
     reduce_sdp_to_shm,
     solve_maxcut_relaxation,
 )
@@ -153,7 +154,9 @@ def _parse_chm(lines: _Lines):
     for _ in range(count):
         row_no, row_toks = lines.take("a point line")
         points.append(_floats(row_no, row_toks, dim))
-    return PointSet(np.array(points)), p0
+    point_set = PointSet(np.array(points))
+    _query_distances(point_set.points, p0)
+    return point_set, p0
 
 
 def _parse_maxcut(lines: _Lines) -> MaxCutInstance:
@@ -328,8 +331,7 @@ def _run_shm(instance: ShmInstance, args, lines: list[str]) -> int:
     return _solve_and_report_shm(instance, args, lines)[0]
 
 
-def _run_sdp(sdp: SdpFeasibilityInstance, args, lines: list[str]) -> int:
-    red = reduce_sdp_to_shm(sdp)
+def _run_sdp(red: SdpReduction, args, lines: list[str]) -> int:
     code, cert = _solve_and_report_shm(red.membership, args, lines)
     lines.append(f"degenerate-rhs {'true' if red.degenerate_rhs else 'false'}")
     if cert.kind == FEASIBLE and not red.degenerate_rhs:
@@ -397,6 +399,15 @@ def _run_maxcut(mc: MaxCutInstance, args, lines: list[str]) -> int:
     return EXIT_OK if result.converged else EXIT_INCONCLUSIVE
 
 
+_RUNNERS = {
+    "shm": _run_shm,
+    "chm": _run_chm,
+    "sdp": _run_sdp,
+    "svm": _run_svm,
+    "maxcut": _run_maxcut,
+}
+
+
 def _decode(raw: bytes) -> str:
     """Problem file bytes as UTF-8 text; a bad byte is a parse error on its line."""
     try:
@@ -406,6 +417,17 @@ def _decode(raw: bytes) -> str:
         raise ProblemParseError(
             line_no, f"not UTF-8 text (byte 0x{raw[err.start]:02x})"
         ) from None
+
+
+def _built(problem: ParsedProblem):
+    """The payload a runner takes.  The sdp's bordered instance and the svm's
+    side instances are built only here, after parsing, and their checks (a
+    radius bound that overflows) can still reject the input."""
+    if problem.kind == "sdp":
+        return reduce_sdp_to_shm(problem.payload)
+    if problem.kind == "svm":
+        return tuple(ShmInstance(side, np.zeros(len(side))) for side in problem.payload)
+    return problem.payload
 
 
 def run(argv=None) -> int:
@@ -428,24 +450,19 @@ def run(argv=None) -> int:
     except ProblemParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    lines: list[str] = [f"kind {problem.kind}"]
-    if args.command == "maxcut":
-        if problem.kind != "maxcut":
+    if (args.command == "maxcut") != (problem.kind == "maxcut"):
+        if args.command == "maxcut":
             print("error: the maxcut subcommand needs a maxcut problem file", file=sys.stderr)
-            return EXIT_USAGE
-        code = _run_maxcut(problem.payload, args, lines)
-    else:
-        if problem.kind == "maxcut":
-            print("error: use the maxcut subcommand for maxcut problem files", file=sys.stderr)
-            return EXIT_USAGE
-        if problem.kind == "shm":
-            code = _run_shm(problem.payload, args, lines)
-        elif problem.kind == "chm":
-            code = _run_chm(problem.payload, args, lines)
-        elif problem.kind == "sdp":
-            code = _run_sdp(problem.payload, args, lines)
         else:
-            code = _run_svm(problem.payload, args, lines)
+            print("error: use the maxcut subcommand for maxcut problem files", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        payload = _built(problem)
+    except ValueError as err:
+        print(f"error: {problem.kind} instance: {err}", file=sys.stderr)
+        return EXIT_PARSE
+    lines: list[str] = [f"kind {problem.kind}"]
+    code = _RUNNERS[problem.kind](payload, args, lines)
     text_out = "\n".join(lines) + "\n"
     sys.stdout.write(text_out)
     if args.output is not None:

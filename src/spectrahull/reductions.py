@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .chm import INCONCLUSIVE, WITNESS
-from .symcore import ShmInstance, SpectraplexPoint, SymmetricMatrix
+from .symcore import ShmInstance, SpectraplexPoint, SymmetricMatrix, _squares_fit, _symmetrize
 from .shm import solve_shm
 
 __all__ = [
@@ -113,13 +113,11 @@ class SdpReduction:
 def reduce_sdp_to_shm(sdp: SdpFeasibilityInstance) -> SdpReduction:
     """Border each constraint matrix with its negated rhs and target zero."""
     n = sdp.n
-    mats = []
-    for a, b_i in zip(sdp.mats, sdp.rhs):
-        bordered = np.zeros((n + 1, n + 1))
-        bordered[:n, :n] = a.entries
-        bordered[n, n] = -b_i
-        mats.append(SymmetricMatrix(bordered))
-    instance = ShmInstance(tuple(mats), np.zeros(sdp.m))
+    bordered = np.zeros((sdp.m, n + 1, n + 1))
+    for k, a in enumerate(sdp.mats):
+        bordered[k, :n, :n] = a.entries
+    bordered[:, n, n] = -sdp.rhs
+    instance = ShmInstance(bordered, np.zeros(sdp.m))
     return SdpReduction(instance, sdp, bool(np.linalg.norm(sdp.rhs) == 0.0))
 
 
@@ -135,9 +133,13 @@ class MaxCutInstance:
             raise ValueError("weight matrix must be square")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
-        if not np.allclose(w, w.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(w).max())):
-            raise ValueError("weight matrix must be symmetric")
-        w = 0.5 * (w + w.T)
+        amax = np.abs(w).max() if w.size else 0.0
+        with np.errstate(over="ignore"):
+            if not np.allclose(w, w.T, rtol=0.0, atol=1e-12 * max(1.0, amax)):
+                raise ValueError("weight matrix must be symmetric")
+            w = _symmetrize(w, not _squares_fit(amax, w.shape[0]))
+            if not math.isfinite(float(np.linalg.norm(w))):
+                raise ValueError("weights are too large: their Frobenius norm overflows")
         if np.any(np.diag(w) != 0.0):
             raise ValueError("diagonal weights must be zero")
         if np.any(w < 0.0):
@@ -147,11 +149,14 @@ class MaxCutInstance:
     @classmethod
     def from_edges(cls, n: int, edges) -> "MaxCutInstance":
         w = np.zeros((n, n))
-        for i, j, wt in edges:
-            if i == j:
-                raise ValueError("self loops are not allowed")
-            w[i, j] += wt
-            w[j, i] += wt
+        # parallel edges may sum past the float range; the constructor
+        # rejects the resulting inf
+        with np.errstate(over="ignore"):
+            for i, j, wt in edges:
+                if i == j:
+                    raise ValueError("self loops are not allowed")
+                w[i, j] += wt
+                w[j, i] += wt
         return cls(w)
 
     @property
@@ -159,11 +164,14 @@ class MaxCutInstance:
         return self.weights.shape[0]
 
     @cached_property
-    def _probe_family(self) -> tuple[SymmetricMatrix, ...]:
-        # W, e_1 e_1^T, ..., e_n e_n^T: validated once, shared by every probe
-        units = np.zeros((self.n, self.n, self.n))
-        units[np.arange(self.n), np.arange(self.n), np.arange(self.n)] = 1.0
-        return (SymmetricMatrix(self.weights),) + tuple(SymmetricMatrix(e) for e in units)
+    def _probe_base(self) -> ShmInstance:
+        # W, e_1 e_1^T, ..., e_n e_n^T in one stack, built at the first probe;
+        # every probe re-targets it
+        n = self.n
+        family = np.zeros((n + 1, n, n))
+        family[0] = self.weights
+        family[np.arange(1, n + 1), np.arange(n), np.arange(n)] = 1.0
+        return ShmInstance(family, np.zeros(n + 1))
 
     def cut_upper_bound(self, relaxation_value: float) -> float:
         # cut(S) = (sum of all weights - <W, Y>) / 4 for the sign vector of S
@@ -174,7 +182,7 @@ def _probe_instance(mc: MaxCutInstance, w: float) -> ShmInstance:
     n = mc.n
     b = np.full(n + 1, 1.0 / n)
     b[0] = w / n
-    return ShmInstance(mc._probe_family, b)
+    return mc._probe_base._with_target(b)
 
 
 def maxcut_feasibility_probe(

@@ -25,7 +25,7 @@ from .chm import (
     default_iteration_cap,
 )
 from .shm import SolveStats, _Iterate
-from .symcore import ShmInstance, SpectraplexPoint, SymmetricMatrix
+from .symcore import ShmInstance, SpectraplexPoint
 
 # not called here (the kernel runs in shm's step engine), but perfbench
 # --trace 1 wraps this name; ROADMAP item 2 drops it
@@ -78,9 +78,9 @@ class PairCertificate:
 def _coerce_side(side, name: str) -> ShmInstance:
     if isinstance(side, ShmInstance):
         if float(np.linalg.norm(side.b)) != 0.0:
-            return ShmInstance(side.mats, np.zeros(side.m))
+            return side._with_target(np.zeros(side.m))
         return side
-    mats = tuple(a if isinstance(a, SymmetricMatrix) else SymmetricMatrix(a) for a in side)
+    mats = tuple(side)
     if not mats:
         raise ValueError(f"{name} side needs at least one matrix")
     return ShmInstance(mats, np.zeros(len(mats)))

@@ -8,6 +8,7 @@ combinations of unit rank-one factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,40 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _squares_fit(amax, n: int) -> bool:
+    """Whether the Frobenius norm of an order-n matrix whose largest entry is
+    ``amax`` can be summed without overflow.  False for a non-finite
+    ``amax``, so it also screens out NaN and inf entries."""
+    return amax < 2.0**500 / max(n, 1)
+
+
+def _excess_skew(a: np.ndarray, large: bool) -> float | None:
+    """The max skew of a finite square matrix when it exceeds ASYMMETRY_TOL
+    times the Frobenius norm, else None.  ``large`` entries (those that fail
+    ``_squares_fit``) are first scaled by a power of two, which keeps the
+    test's outcome and brings every square into range."""
+    if not a.size:
+        return None
+    e = math.frexp(float(np.abs(a).max()))[1] if large else 0
+    s = np.ldexp(a, -e) if large else a
+    skew = float(np.abs(s - s.T).max())
+    if skew <= ASYMMETRY_TOL * float(np.linalg.norm(s)):
+        return None
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(skew, e))
+
+
+def _symmetrize(a: np.ndarray, large: bool) -> np.ndarray:
+    """(A + A^T)/2 over the last two axes.  ``large`` entries (those that
+    fail ``_squares_fit``) are halved first, which cannot overflow; other
+    entries are summed first, so their bits are those of 0.5 * (a + a.T)
+    even where halving would underflow."""
+    if large:
+        t = 0.5 * a
+        return t + np.swapaxes(t, -1, -2)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
 @dataclass(frozen=True)
 class SymmetricMatrix:
     """Square real symmetric matrix.
@@ -54,12 +89,21 @@ class SymmetricMatrix:
         a = np.array(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        large = a.size > 0 and not _squares_fit(np.abs(a).max(), a.shape[0])
+        if large and not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
-        skew = float(np.abs(a - a.T).max()) if a.size else 0.0
-        if skew > ASYMMETRY_TOL * float(np.linalg.norm(a)):
+        skew = _excess_skew(a, large)
+        if skew is not None:
             raise ValueError(f"matrix is asymmetric beyond tolerance (max skew {skew:g})")
-        object.__setattr__(self, "entries", _freeze(0.5 * (a + a.T)))
+        object.__setattr__(self, "entries", _freeze(_symmetrize(a, large)))
+
+    @classmethod
+    def _view(cls, entries: np.ndarray) -> "SymmetricMatrix":
+        """Wrap a row of an instance's validated, read-only stack without
+        copying or checking it."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "entries", entries)
+        return out
 
     @classmethod
     def _symmetrized(cls, a: np.ndarray) -> "SymmetricMatrix":
@@ -176,12 +220,19 @@ class SpectraplexPoint:
 class ShmInstance:
     """A family of symmetric matrices plus the target vector to hit.
 
-    ``radius_bound`` is the precomputed over-estimate of the farthest
-    reachable distance; ``stack`` is the (m, n, n) array used by the
-    numeric kernels, and ``flat`` the same memory viewed as (m, n*n), so
-    that a weighted sum of the matrices is one matrix-vector product,
-    ``(y @ flat).reshape(n, n)``.  Both are read-only and made once per
-    instance.
+    The instance holds its family once: ``stack`` is the read-only (m, n, n)
+    array of the symmetrized matrices, validated once at construction, and
+    ``mats`` are read-only ``SymmetricMatrix`` views of its rows.  A family
+    given as ``SymmetricMatrix`` objects is stacked without checking it
+    again; any other family is checked in one vectorised pass that accepts
+    and rejects exactly what ``SymmetricMatrix`` does, one matrix at a time.
+    ``flat`` is the same memory viewed as (m, n*n), so that a weighted sum
+    of the matrices is one matrix-vector product, ``(y @ flat).reshape(n,
+    n)``.  ``radius_bound`` is the precomputed over-estimate of the farthest
+    reachable distance, equal bit for bit to ``radius_bound(mats, b)``; a
+    family or target whose bound overflows is rejected.  ``_with_target(b)``
+    gives the instance of the same family with another target, sharing
+    ``mats``, ``stack``, ``flat`` and the members' Frobenius norms.
     """
 
     mats: tuple[SymmetricMatrix, ...]
@@ -189,36 +240,101 @@ class ShmInstance:
     radius_bound: float = field(init=False)
     stack: np.ndarray = field(init=False, repr=False, compare=False)
     flat: np.ndarray = field(init=False, repr=False, compare=False)
+    _norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mats = tuple(
-            m if isinstance(m, SymmetricMatrix) else SymmetricMatrix(m)
-            for m in self.mats
-        )
+        mats = tuple(self.mats)
         if not mats:
             raise ValueError("instance needs at least one matrix")
-        n = mats[0].n
-        if any(m.n != n for m in mats):
-            raise DimensionError("all matrices must share one order")
-        b = np.array(self.b, dtype=float).reshape(-1)
-        if b.shape[0] != len(mats):
-            raise DimensionError(f"target has {b.shape[0]} entries for {len(mats)} matrices")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("target must be finite")
-        object.__setattr__(self, "mats", mats)
-        object.__setattr__(self, "b", _freeze(b))
-        stack = _freeze(np.stack([m.entries for m in mats]))
+        if all(isinstance(a, SymmetricMatrix) for a in mats):
+            n = mats[0].n
+            if any(a.n != n for a in mats):
+                raise DimensionError("all matrices must share one order")
+            stack = np.array([a.entries for a in mats])
+        else:
+            stack = _validated_stack(mats)
+        m, n = stack.shape[:2]
+        flat = _freeze(stack).reshape(m, n * n)
+        # one BLAS dot per member, the sum of squares np.linalg.norm takes
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None]).reshape(m))
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "flat", stack.reshape(len(mats), n * n))
-        object.__setattr__(self, "radius_bound", radius_bound(mats, b))
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "mats", tuple(map(SymmetricMatrix._view, stack)))
+        object.__setattr__(self, "_norms", tuple(norms.tolist()))
+        self._set_target(self.b)
+
+    def _set_target(self, b) -> None:
+        b = np.array(b, dtype=float).reshape(-1)
+        if b.shape[0] != self.m:
+            raise DimensionError(f"target has {b.shape[0]} entries for {self.m} matrices")
+        if not np.isfinite(b).all():
+            raise ValueError("target must be finite")
+        # radius_bound(mats, b), summed in its order from the kept norms
+        with np.errstate(over="ignore"):
+            bound = float(np.linalg.norm(b))
+        for norm in self._norms:
+            bound += norm
+        if not math.isfinite(bound):
+            raise ValueError("radius bound overflows: the family or the target is too large")
+        object.__setattr__(self, "b", _freeze(b))
+        object.__setattr__(self, "radius_bound", bound)
+
+    def _with_target(self, b) -> "ShmInstance":
+        """The same family with target ``b``: shares ``mats``, ``stack``,
+        ``flat`` and the norms, and checks only the target and its bound."""
+        out = object.__new__(type(self))
+        for name in ("mats", "stack", "flat", "_norms"):
+            object.__setattr__(out, name, getattr(self, name))
+        out._set_target(b)
+        return out
 
     @property
     def m(self) -> int:
-        return len(self.mats)
+        return self.stack.shape[0]
 
     @property
     def n(self) -> int:
-        return self.mats[0].n
+        return self.stack.shape[1]
+
+
+def _validated_stack(mats) -> np.ndarray:
+    """The symmetrized (m, n, n) stack of a family not all of whose members
+    are ``SymmetricMatrix`` objects, checked in one pass.
+
+    Irregular shapes and non-finite or very large entries take the
+    per-matrix path, which raises the first failure in member order just as
+    building each ``SymmetricMatrix`` would.  Otherwise the skew and
+    Frobenius norm of every member are computed together with the same
+    arithmetic as ``SymmetricMatrix``: exact differences, and one BLAS dot
+    per member for the norm.
+    """
+    raw = [a.entries if isinstance(a, SymmetricMatrix) else a for a in mats]
+    try:
+        a = np.array(raw, dtype=float)
+    except ValueError:
+        a = None
+    if (
+        a is None
+        or a.ndim != 3
+        or a.shape[1] != a.shape[2]
+        or (a.size and not _squares_fit(np.abs(a).max(), a.shape[1]))
+    ):
+        checked = [SymmetricMatrix(x) for x in raw]
+        if any(x.n != checked[0].n for x in checked):
+            raise DimensionError("all matrices must share one order")
+        return np.stack([x.entries for x in checked])
+    if a.size:
+        m, n = a.shape[:2]
+        skew = np.abs(a - a.transpose(0, 2, 1)).reshape(m, n * n).max(axis=1)
+        flat = a.reshape(m, n * n)
+        norm = np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None]).reshape(m))
+        bad = np.flatnonzero(skew > ASYMMETRY_TOL * norm)
+        if bad.size:
+            raise ValueError(
+                f"matrix is asymmetric beyond tolerance (max skew {float(skew[bad[0]]):g})"
+            )
+    return _symmetrize(a, False)
 
 
 def frobenius_dot(a: SymmetricMatrix, b: SymmetricMatrix) -> float:
@@ -269,13 +385,16 @@ def radius_bound(mats, b) -> float:
 
     The image of any spectraplex point has norm at most the summed Frobenius
     norms, so ||b|| plus that sum dominates every reachable distance.  Cheap,
-    and avoids an eigensolve; only the stopping rule consumes it.
+    and avoids an eigensolve; only the stopping rule consumes it.  It is inf
+    when a sum of squares overflows.
     """
     b = np.asarray(b, dtype=float).reshape(-1)
-    total = float(np.linalg.norm(b))
-    for m in mats:
-        e = m.entries if isinstance(m, SymmetricMatrix) else np.asarray(m, dtype=float)
-        total += float(np.linalg.norm(e))
+    # an overflowing sum of squares gives inf, which callers reject
+    with np.errstate(over="ignore"):
+        total = float(np.linalg.norm(b))
+        for m in mats:
+            e = m.entries if isinstance(m, SymmetricMatrix) else np.asarray(m, dtype=float)
+            total += float(np.linalg.norm(e))
     return total
 
 

@@ -283,3 +283,9 @@ def test_solver_verdicts_are_certified(seed):
         for q in pts.points:
             assert np.linalg.norm(p - q) < np.linalg.norm(p0 - q) + 1e-12
         assert cert.hyperplane.side(p0) < 0.0
+
+
+def test_solve_chm_rejects_an_overflowing_farthest_distance():
+    points = PointSet(np.array([[1e308], [0.5e308]]))
+    with pytest.raises(ValueError, match="overflows"):
+        solve_chm(points, np.array([-1.7e308]), 1e-2)

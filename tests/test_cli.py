@@ -373,3 +373,27 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == EXIT_OK
     assert "status Feasible" in proc.stdout
+
+
+OVERFLOW_FILES = {
+    # A 1 = diag(1e308, 1): the radius bound's sum of squares overflows
+    "big.shm": ("solve", "shm\nn 2\nm 1\nb 0.5\nA 1\n1e308 0\n0 1\n"),
+    # the query lies outside the hull, but the farthest distance overflows
+    "big.chm": ("solve", "chm\nm 1\nN 2\np0 -1.7e308\n1e308\n0.5e308\n"),
+    "big.graph": ("maxcut", "maxcut\nn 2\nedge 1 2 1e308\n"),
+    "big.sdp": ("solve", "sdp\nn 2\nm 1\nb 1\nA 1\n1e308 0\n0 1\n"),
+    "big.svm": ("solve", SVM_FILE.replace("1 0\n0 2\nright", "1e308 0\n0 2\nright")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_FILES))
+def test_overflowing_inputs_are_parse_errors(tmp_path, capsys, name):
+    """An input whose scale overflows exits 4 with one error line: a run
+    scaled by an infinite radius would call any gap Feasible."""
+    command, text = OVERFLOW_FILES[name]
+    path = write(tmp_path, name, text)
+    assert run([command, "--input", path]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err

@@ -328,3 +328,11 @@ def test_probes_share_one_matrix_family():
     second, _ = maxcut_feasibility_probe(mc, -2.0, 1e-2, max_iters=0)
     assert all(a is b for a, b in zip(first.mats, second.mats))
     np.testing.assert_array_equal(second.b, np.array([-2.0, 1.0, 1.0, 1.0]) / 3.0)
+
+
+def test_maxcut_instance_rejects_overflowing_weights():
+    for edges in ([(0, 1, 1e308)], [(0, 1, 1e200)], [(0, 1, 1e308), (1, 0, 1e308)]):
+        with pytest.raises(ValueError, match="weights"):
+            MaxCutInstance.from_edges(2, edges)
+    big = MaxCutInstance.from_edges(2, [(0, 1, 1e150)])
+    assert np.isfinite(big.weights).all()

@@ -7,17 +7,21 @@ from hypothesis import strategies as st
 
 from spectrahull import (
     DimensionError,
+    MaxCutInstance,
+    SdpFeasibilityInstance,
     ShmInstance,
     SpectraplexPoint,
     SymmetricMatrix,
     frobenius_dot,
     gershgorin_bound,
     image,
+    maxcut_feasibility_probe,
     quad_form,
     radius_bound,
     rank_one_image,
+    reduce_sdp_to_shm,
 )
-from spectrahull.symcore import _term_images
+from spectrahull.symcore import ASYMMETRY_TOL, _term_images
 
 import helpers
 
@@ -241,3 +245,225 @@ def test_radius_bound_dominates_rank_one_images():
         imgs = np.einsum("kij,ti,tj->tk", inst.stack, v, v)
         dists = np.linalg.norm(imgs - b, axis=1)
         assert dists.max() <= inst.radius_bound + 1e-12
+
+
+# ------------------------------------------------------ one copy of the family
+
+
+def _built_five_ways():
+    """(how, instance) for every way an instance comes to exist."""
+    rng = np.random.default_rng(5)
+    raw = tuple(helpers.random_symmetric(rng, 3) for _ in range(2))
+    from_raw = ShmInstance(raw, np.ones(2))
+    from_sym = ShmInstance(tuple(SymmetricMatrix(a) for a in raw), np.ones(2))
+    sdp = SdpFeasibilityInstance(raw, np.array([1.0, -1.0]))
+    mc = MaxCutInstance.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
+    probe, _ = maxcut_feasibility_probe(mc, -1.0, 1e-2, max_iters=0)
+    return [
+        ("raw", from_raw),
+        ("symmetric", from_sym),
+        ("retargeted", from_raw._with_target(np.zeros(2))),
+        ("sdp", reduce_sdp_to_shm(sdp).membership),
+        ("probe", probe),
+    ]
+
+
+@pytest.mark.parametrize("how", ["raw", "symmetric", "retargeted", "sdp", "probe"])
+def test_mats_are_read_only_views_of_the_stack(how):
+    inst = dict(_built_five_ways())[how]
+    assert not inst.stack.flags.writeable
+    assert inst.stack.shape == (inst.m, inst.n, inst.n)
+    for k, a in enumerate(inst.mats):
+        assert not a.entries.flags.writeable
+        assert np.shares_memory(a.entries, inst.stack)
+        np.testing.assert_array_equal(a.entries, inst.stack[k])
+    with pytest.raises(ValueError):
+        inst.mats[0].entries[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_mutating_the_inputs_leaves_the_instance_unchanged(as_array):
+    rng = np.random.default_rng(6)
+    raw = [helpers.random_symmetric(rng, 3) for _ in range(2)]
+    family = np.stack(raw) if as_array else tuple(raw)
+    b = np.array([0.5, -0.5])
+    inst = ShmInstance(family, b)
+    stack, target, bound = inst.stack.copy(), inst.b.copy(), inst.radius_bound
+    for a in family:
+        a[...] = 7.0
+    b[...] = 7.0
+    np.testing.assert_array_equal(inst.stack, stack)
+    np.testing.assert_array_equal(inst.b, target)
+    assert inst.radius_bound == bound
+
+
+def test_retargeted_probes_share_one_stack_and_match_fresh_bounds():
+    mc = MaxCutInstance.from_edges(4, [(0, 1, 1.0), (1, 2, 2.5), (2, 3, 0.3), (0, 3, 1.7)])
+    first, _ = maxcut_feasibility_probe(mc, -1.3, 1e-2, max_iters=0)
+    second, _ = maxcut_feasibility_probe(mc, -2.9, 1e-2, max_iters=0)
+    assert first.stack is second.stack
+    assert first.flat is second.flat
+    assert first.mats is second.mats
+    for inst in (first, second):
+        fresh = ShmInstance(inst.mats, inst.b)
+        assert inst.radius_bound == fresh.radius_bound
+        assert inst.radius_bound == radius_bound(inst.mats, inst.b)
+        np.testing.assert_array_equal(inst.stack, fresh.stack)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_instance_radius_bound_is_the_public_bound_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+    scale = 10.0 ** rng.integers(-150, 150, size=m)
+    raw = tuple(helpers.random_symmetric(rng, n) * s for s in scale)
+    b = rng.standard_normal(m) * 10.0 ** rng.integers(-5, 5)
+    for inst in (ShmInstance(raw, b), ShmInstance(raw, np.zeros(m))._with_target(b)):
+        assert inst.radius_bound == radius_bound(raw, b)
+        assert inst.radius_bound == radius_bound(inst.mats, b)
+
+
+def test_retargeting_checks_the_new_target():
+    inst = ShmInstance((np.eye(2), np.diag([1.0, 0.0])), np.zeros(2))
+    with pytest.raises(DimensionError):
+        inst._with_target(np.zeros(3))
+    with pytest.raises(ValueError):
+        inst._with_target(np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError):
+        inst._with_target(np.array([1e308, 1e308]))
+    np.testing.assert_array_equal(inst.b, np.zeros(2))
+
+
+# ------------------------------------- vectorised validation = per-matrix checks
+
+_FLAWS = ("none", "none", "roundoff", "skew", "nonfinite", "nonsquare", "order", "large", "symmetric")
+
+
+@st.composite
+def _families(draw):
+    """Families whose members are sometimes asymmetric beyond tolerance,
+    non-finite, non-square, of another order or very large; "symmetric"
+    members are ``SymmetricMatrix`` objects, the rest raw arrays."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    family = []
+    for _ in range(m):
+        flaw = draw(st.sampled_from(_FLAWS))
+        rows = n + (flaw == "order")
+        cols = rows + (flaw == "nonsquare")
+        vals = draw(st.lists(st.floats(-10.0, 10.0), min_size=rows * cols, max_size=rows * cols))
+        a = np.array(vals).reshape(rows, cols)
+        if rows == cols:
+            a = _symmetrize(a)
+        if flaw == "roundoff" and n > 1:
+            a[0, -1] += 1e-12 * max(1.0, float(np.abs(a).max()))
+        elif flaw == "skew" and n > 1:
+            a[0, -1] += draw(st.floats(1e-6, 10.0))
+        elif flaw == "nonfinite":
+            a.flat[draw(st.integers(0, a.size - 1))] = draw(
+                st.sampled_from([np.nan, np.inf, -np.inf])
+            )
+        elif flaw == "large":
+            # past the squared-entry range of the one-pass checks, but with a
+            # finite Frobenius norm
+            a = a * 1e152
+        family.append(SymmetricMatrix(a) if flaw == "symmetric" else a)
+    return family
+
+
+def _reference_stack(family):
+    """What building each member as a SymmetricMatrix gives: the stack, or the
+    (class, message) of the first failure."""
+    try:
+        mats = [a if isinstance(a, SymmetricMatrix) else SymmetricMatrix(a) for a in family]
+    except ValueError as err:
+        return type(err), str(err)
+    if any(a.n != mats[0].n for a in mats):
+        return DimensionError, "all matrices must share one order"
+    return np.stack([a.entries for a in mats])
+
+
+@given(_families())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_validation_matches_per_matrix_checks(family):
+    want = _reference_stack(family)
+    try:
+        inst = ShmInstance(family, np.zeros(len(family)))
+    except ValueError as err:
+        assert isinstance(want, tuple), f"rejected a valid family: {err}"
+        assert (type(err), str(err)) == want
+        return
+    assert not isinstance(want, tuple), f"accepted a family that raises {want}"
+    assert inst.stack.dtype == want.dtype and inst.stack.shape == want.shape
+    assert inst.stack.tobytes() == want.tobytes()
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_sdp_border_matches_per_matrix_bordering(seed):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    sdp = SdpFeasibilityInstance(
+        tuple(helpers.random_symmetric(rng, n) for _ in range(m)), rng.standard_normal(m)
+    )
+    old = []
+    for a, b_i in zip(sdp.mats, sdp.rhs):
+        bordered = np.zeros((n + 1, n + 1))
+        bordered[:n, :n] = a.entries
+        bordered[n, n] = -b_i
+        old.append(SymmetricMatrix(bordered).entries)
+    inst = reduce_sdp_to_shm(sdp).membership
+    assert inst.stack.tobytes() == np.stack(old).tobytes()
+    assert inst.radius_bound == ShmInstance(tuple(old), np.zeros(m)).radius_bound
+
+
+# ------------------------------------------------------------------- overflow
+
+
+def test_huge_entries_symmetrize_without_overflow():
+    a = np.diag([1e308, 1.0])
+    try:
+        m = SymmetricMatrix(a)
+    except ValueError:
+        return
+    assert np.isfinite(m.entries).all()
+    np.testing.assert_array_equal(m.entries, a)
+    flipped = np.array([[0.0, 1e308], [-1e308, 0.0]])
+    with pytest.raises(ValueError, match="asymmetric"):
+        SymmetricMatrix(flipped)
+
+
+def test_instance_rejects_an_overflowing_radius_bound():
+    with pytest.raises(ValueError, match="radius bound"):
+        ShmInstance((np.diag([1e308, 1.0]),), [0.5])
+    with pytest.raises(ValueError, match="radius bound"):
+        ShmInstance((np.eye(2), np.eye(2)), [1e308, 1e308])
+
+
+def test_one_pass_skew_threshold_is_bit_exact():
+    """Around the tolerance boundary, float by float, the one-pass checks
+    accept exactly the skews that SymmetricMatrix accepts."""
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        n = int(rng.integers(2, 7))
+        base = helpers.random_symmetric(rng, n)
+        base[0, 1] = base[1, 0] = 0.0
+        skew = ASYMMETRY_TOL * float(np.linalg.norm(base))
+        for _ in range(12):
+            skew = np.nextafter(skew, 0.0)
+        for _ in range(24):
+            a = base.copy()
+            a[0, 1] = skew
+            try:
+                SymmetricMatrix(a)
+                want = True
+            except ValueError:
+                want = False
+            try:
+                ShmInstance((base, a), np.zeros(2))
+                got = True
+            except ValueError:
+                got = False
+            assert got == want, (n, skew)
+            skew = np.nextafter(skew, 1.0)
