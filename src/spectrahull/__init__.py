@@ -14,7 +14,6 @@ from .symcore import (
     SpectraplexPoint,
     SymmetricMatrix,
     frobenius_dot,
-    gershgorin_bound,
     image,
     quad_form,
     radius_bound,
@@ -22,10 +21,8 @@ from .symcore import (
 )
 from .eigen import (
     EigenDecomposition,
-    PowerResult,
     certified_min_eig,
     jacobi_eigen,
-    min_eig_power,
 )
 from .chm import (
     FEASIBLE,
@@ -90,7 +87,6 @@ __all__ = [
     "PivotMatrixAssembly",
     "PivotOutcome",
     "PointSet",
-    "PowerResult",
     "RecessionDirectionError",
     "SEPARATED",
     "SdpFeasibilityInstance",
@@ -104,11 +100,9 @@ __all__ = [
     "certified_min_eig",
     "find_pivot",
     "frobenius_dot",
-    "gershgorin_bound",
     "image",
     "jacobi_eigen",
     "maxcut_feasibility_probe",
-    "min_eig_power",
     "pivot_oracle",
     "prune_representation",
     "quad_form",

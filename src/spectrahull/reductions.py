@@ -85,10 +85,11 @@ class SdpReduction:
     negated right-hand side in the corner, and the membership target is the
     origin.  ``degenerate_rhs`` flags an all-zero right-hand side, where the
     pure corner point satisfies everything and recovery is meaningless.
+    The source family is not kept: the bordered stack holds its entries, and
+    recovery reads the order from the membership instance.
     """
 
     membership: ShmInstance
-    source: SdpFeasibilityInstance
     degenerate_rhs: bool
 
     def recover(self, point: SpectraplexPoint, min_alpha: float = 1e-10):
@@ -97,7 +98,7 @@ class SdpReduction:
         ``alpha`` is the corner weight; below ``min_alpha`` the scale division
         is untrustworthy and RecessionDirectionError is raised.
         """
-        n = self.source.n
+        n = self.membership.n - 1
         if point.n != n + 1:
             raise ValueError("point order does not match the reduction")
         dense = point.dense()
@@ -118,7 +119,7 @@ def reduce_sdp_to_shm(sdp: SdpFeasibilityInstance) -> SdpReduction:
         bordered[k, :n, :n] = a.entries
     bordered[:, n, n] = -sdp.rhs
     instance = ShmInstance(bordered, np.zeros(sdp.m))
-    return SdpReduction(instance, sdp, bool(np.linalg.norm(sdp.rhs) == 0.0))
+    return SdpReduction(instance, bool(np.linalg.norm(sdp.rhs) == 0.0))
 
 
 @dataclass(frozen=True)

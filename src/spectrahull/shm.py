@@ -52,9 +52,10 @@ from .symcore import (
 )
 
 # not called here (every pivot comes from one eigendecomposition), but
-# perfbench --trace 1 wraps these names in this module
+# perfbench --trace 1 wraps these names in this module; the placeholder
+# stands in for the retired power probe until ROADMAP item 2 removes it
 from .chm import find_pivot  # noqa: F401
-from .eigen import min_eig_power  # noqa: F401
+min_eig_power = None
 
 __all__ = [
     "Certificate",
@@ -115,21 +116,22 @@ def assemble_pivot_matrix(instance: ShmInstance, point: SpectraplexPoint) -> Piv
 class PivotOutcome:
     """Either a usable pivot direction or the evidence that none exists.
 
-    ``found`` with ``vector``/``rayleigh`` set means the direction clears the
-    bar as computed by the reporting route (``method`` is always ``jacobi``,
-    the name of the LAPACK eigendecomposition).  ``found=False``
-    carries the eigendecomposition's ``lambda_min`` above the bar and its
-    rigorous ``error_bound``; absence is ``certified`` only when ``margin``,
-    ``lambda_min - error_bound - threshold``, is positive.
+    Both come from one LAPACK eigendecomposition (``method``, always
+    ``"jacobi"``).  ``found`` means its smallest eigenvalue ``lambda_min``
+    is at or below the bar ``threshold`` and ``vector`` is the matching unit
+    eigenvector.  ``found=False`` carries ``lambda_min`` above the bar and
+    its rigorous ``error_bound``; absence is ``certified`` only when
+    ``margin``, ``lambda_min - error_bound - threshold``, is positive.
     """
 
     found: bool
     vector: np.ndarray | None
-    rayleigh: float | None
-    lambda_min: float | None
+    lambda_min: float
     threshold: float
-    method: str
     error_bound: float = math.inf  # no bound known: never certified
+
+    # perfbench's trace counts this label; ROADMAP item 2 renames it
+    method = "jacobi"
 
     @property
     def margin(self) -> float | None:
@@ -155,11 +157,10 @@ def pivot_oracle(assembly: PivotMatrixAssembly) -> PivotOutcome:
     """
     thr = assembly.threshold
     lam, vec, delta = certified_min_eig(assembly.matrix, thr)
-    # perfbench's trace counts the "jacobi" label; ROADMAP item 2 renames it
     if lam <= thr:
-        return PivotOutcome(True, vec, lam, lam, thr, "jacobi")
+        return PivotOutcome(True, vec, lam, thr)
     # lam clears the bar, so delta was computed
-    return PivotOutcome(False, None, None, lam, thr, "jacobi", error_bound=delta)
+    return PivotOutcome(False, None, lam, thr, error_bound=delta)
 
 
 @dataclass

@@ -23,7 +23,6 @@ __all__ = [
     "image",
     "rank_one_image",
     "radius_bound",
-    "gershgorin_bound",
 ]
 
 ASYMMETRY_TOL = 1e-9
@@ -397,9 +396,3 @@ def radius_bound(mats, b) -> float:
             total += float(np.linalg.norm(e))
     return total
 
-
-def gershgorin_bound(a: SymmetricMatrix) -> float:
-    """Max absolute row sum; dominates every |eigenvalue| of A."""
-    if a.n == 0:
-        return 0.0
-    return float(np.abs(a.entries).sum(axis=1).max())

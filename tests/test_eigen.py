@@ -1,5 +1,5 @@
-"""LAPACK decomposition with its error bound and the shifted power probe:
-frozen cases plus spectra invariants."""
+"""LAPACK decomposition with its error bound: frozen cases plus spectra
+invariants."""
 
 import math
 from fractions import Fraction
@@ -13,7 +13,6 @@ from spectrahull import (
     SymmetricMatrix,
     certified_min_eig,
     jacobi_eigen,
-    min_eig_power,
     quad_form,
 )
 
@@ -73,60 +72,6 @@ def test_jacobi_reconstruction_and_orthogonality(seed):
     assert np.abs(_reconstruct(dec) - a.entries).max() <= 1e-9 * scale
     assert np.abs(dec.vectors.T @ dec.vectors - np.eye(n)).max() <= 1e-10
     assert np.all(np.diff(dec.values) >= 0.0)
-
-
-# ---------------------------------------------------------------- power probe
-
-
-def test_power_crossing_case_frozen():
-    r = min_eig_power(SymmetricMatrix.diag([-1.0, 2.0]), 0.0)
-    assert r.exited_early
-    assert r.rayleigh == -1.0
-    assert np.allclose(np.abs(r.vector), [1.0, 0.0])
-    assert r.iterations == 1
-
-
-def test_power_no_crossing_stays_inconclusive():
-    r = min_eig_power(TWO_ONE, 0.5)
-    assert not r.exited_early
-    # the true bottom eigenvalue is 1; the probe report approaches it
-    assert r.rayleigh == pytest.approx(1.0, abs=1e-9)
-
-
-def test_power_loose_threshold_exits_above_minimum():
-    r = min_eig_power(SymmetricMatrix.diag([1.0, 2.0, 3.0]), 1.5)
-    assert r.exited_early
-    assert r.rayleigh <= 1.5
-    assert r.rayleigh == pytest.approx(1.2, abs=1e-12)
-
-
-def test_power_zero_matrix():
-    hit = min_eig_power(SymmetricMatrix.zeros(2), 0.0)
-    assert hit.exited_early and hit.rayleigh == 0.0
-    miss = min_eig_power(SymmetricMatrix.zeros(2), -1.0)
-    assert not miss.exited_early and miss.rayleigh == 0.0
-
-
-def test_power_rejects_negative_budget():
-    with pytest.raises(ValueError):
-        min_eig_power(TWO_ONE, 0.0, budget=-1)
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_power_report_is_sound(seed):
-    """The report never undercuts the spectrum and an exit really crossed."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 9))
-    a = SymmetricMatrix(helpers.random_symmetric(rng, n, scale=3.0))
-    lam = float(np.linalg.eigvalsh(a.entries)[0])
-    thr = lam + float(rng.uniform(-0.5, 0.5))
-    r = min_eig_power(a, thr, rng=rng)
-    scale = max(1.0, a.frob)
-    assert r.rayleigh >= lam - 1e-10 * scale
-    assert r.rayleigh == pytest.approx(quad_form(a, r.vector), abs=1e-10 * scale)
-    if r.exited_early:
-        assert r.rayleigh <= thr
 
 
 # ------------------------------------------------------------- certified path
@@ -201,6 +146,16 @@ def _planted_spectrum(rng, n):
     return lam * 10.0 ** rng.uniform(-8.0, 8.0)
 
 
+def _assert_bound_brackets(entries: np.ndarray, tight: float) -> None:
+    """|lambda_min - value| <= delta <= tight, the bracket checked in exact
+    rational arithmetic."""
+    lam, _, delta = certified_min_eig(SymmetricMatrix(entries))
+    assert 0.0 < delta <= tight
+    lam_q, delta_q = Fraction(lam), Fraction(delta)
+    assert _exactly_positive_definite(entries, lam_q - delta_q)
+    assert not _exactly_positive_definite(entries, lam_q + delta_q)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_certified_bound_brackets_planted_spectrum(seed):
@@ -209,11 +164,31 @@ def test_certified_bound_brackets_planted_spectrum(seed):
     n = int(rng.integers(1, 9))
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     a = SymmetricMatrix((q * _planted_spectrum(rng, n)) @ q.T)
-    lam, _, delta = certified_min_eig(a)
-    assert 0.0 < delta <= 1e-12 * max(a.frob, 1e-300)
-    lam_q, delta_q = Fraction(lam), Fraction(delta)
-    assert _exactly_positive_definite(a.entries, lam_q - delta_q)
-    assert not _exactly_positive_definite(a.entries, lam_q + delta_q)
+    _assert_bound_brackets(a.entries, 1e-12 * max(a.frob, 1e-300))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_certified_bound_brackets_planted_spectrum_scaled_by_2_600(seed):
+    """At a scale whose squares overflow, the bound is taken on the matrix
+    scaled down by a power of two, with no warning, and still brackets."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = SymmetricMatrix((q * np.ldexp(_planted_spectrum(rng, n), 600)) @ q.T)
+    # the Frobenius norm itself would overflow: measure it scaled
+    frob = math.ldexp(float(np.linalg.norm(np.ldexp(a.entries, -600))), 600)
+    _assert_bound_brackets(a.entries, 1e-12 * frob)
+
+
+def test_certified_bound_charges_entries_scaled_into_subnormals():
+    """Scaling a matrix whose largest entry is near the top of the float
+    range pushes its small entries below the normal range, where some lose
+    bits; the bound still brackets the exact smallest eigenvalue."""
+    big = 0.7 * np.finfo(float).max
+    a = np.array([[big, 0.1, 1e-3], [0.1, 3.0, 0.2], [1e-3, 0.2, 1.0 / 3.0]])
+    assert np.all(np.ldexp(np.abs(a[1:, 1:]), -math.frexp(big)[1]) < np.finfo(float).tiny)
+    _assert_bound_brackets(a, 1e-12 * big)
 
 
 def test_certified_bound_skipped_below_bar():

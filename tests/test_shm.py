@@ -121,7 +121,7 @@ def test_oracle_exact_finds_corner_pivot():
     out = pivot_oracle(asm)
     assert out.found
     assert np.allclose(np.abs(out.vector), [0.0, 0.0, 1.0])
-    assert out.rayleigh == pytest.approx(-3.0, abs=1e-12)
+    assert out.lambda_min == pytest.approx(-3.0, abs=1e-12)
     assert out.method == "jacobi"
 
 
@@ -129,9 +129,9 @@ def test_oracle_power_clears_bar():
     asm = _make_assembly(INTERVAL, np.array([1.0]))
     out = pivot_oracle(asm)
     assert out.found
-    assert out.rayleigh <= asm.threshold
+    assert out.lambda_min <= asm.threshold
     v_img = rank_one_image(INTERVAL, out.vector)
-    assert float(asm.resid @ v_img) == pytest.approx(out.rayleigh, abs=1e-10)
+    assert float(asm.resid @ v_img) == pytest.approx(out.lambda_min, abs=1e-10)
 
 
 def test_oracle_certified_absence():
@@ -163,7 +163,7 @@ def test_oracle_zero_matrix_degenerate_pivot():
     asm = _make_assembly(INTERVAL, np.array([2.0]))
     out = pivot_oracle(asm)
     assert out.found
-    assert out.rayleigh == 0.0
+    assert out.lambda_min == 0.0
 
 
 def test_found_pivot_minimises_the_form():
@@ -184,8 +184,8 @@ def test_found_pivot_minimises_the_form():
         allowance = 1e-12 * (1.0 + asm.matrix.frob)
         value = float(asm.resid @ rank_one_image(inst, out.vector))
         lam = np.linalg.eigvalsh(asm.matrix.entries)[0]
-        assert out.rayleigh == pytest.approx(lam, abs=allowance)
-        assert value == pytest.approx(out.rayleigh, abs=allowance)
+        assert out.lambda_min == pytest.approx(lam, abs=allowance)
+        assert value == pytest.approx(out.lambda_min, abs=allowance)
         u = helpers.random_unit_vectors(rng, 1000, n)
         assert np.all(shm._term_images(inst, u) @ asm.resid >= value - allowance)
         assert value <= float(asm.resid @ inst.b) + allowance
@@ -267,6 +267,10 @@ def test_solve_feasible_meets_contract():
     assert abs(float(reproduced[0]) - 1.0) <= 1e-6 * cert.radius_bound + 1e-12
 
 
+def test_cached_name_is_the_one_solver():
+    assert solve_shm_cached is solve_shm
+
+
 def test_solve_cached_interval_call_budget():
     cert0 = solve_shm_cached(INTERVAL, 1e-6)
     assert cert0.kind == FEASIBLE and cert0.oracle_calls == 0
@@ -283,6 +287,20 @@ def test_solve_cached_witness_margin():
     assert cert.kind == WITNESS
     assert cert.eig_margin is not None and cert.eig_margin > 0.0
     assert cert.oracle_calls <= max(cert.iterations, 1)
+
+
+@pytest.mark.parametrize("scale", [1e60, 1e80, 1e100, 1e150])
+def test_witness_at_large_finite_scale(scale):
+    """The pivot matrix's entries grow as the square of the family's scale;
+    its eigenvalue error bound must neither overflow nor warn, so a target
+    far outside the hull still gets a witness."""
+    inst = ShmInstance(
+        (np.diag([scale, 1.0]), np.diag([1.0, scale])), np.array([3.0 * scale, 0.5 * scale])
+    )
+    cert = solve_shm(inst, 1e-3)
+    assert cert.kind == WITNESS
+    assert cert.eig_margin > 0.0
+    assert verify_certificate(inst, cert, sample_count=200).passed
 
 
 def test_solve_ends_inconclusive_when_margin_within_bound(monkeypatch):

@@ -13,7 +13,6 @@ from spectrahull import (
     SpectraplexPoint,
     SymmetricMatrix,
     frobenius_dot,
-    gershgorin_bound,
     image,
     maxcut_feasibility_probe,
     quad_form,
@@ -162,12 +161,6 @@ def test_radius_bound_frozen():
     assert radius_bound((half,), [2.0]) == pytest.approx(np.sqrt(0.5) + 2.0)
 
 
-def test_gershgorin_frozen():
-    assert gershgorin_bound(SymmetricMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))) == 3.0
-    assert gershgorin_bound(SymmetricMatrix(np.array([[1.0, 2.0], [2.0, 5.0]]))) == 7.0
-    assert gershgorin_bound(OFFDIAG) == 1.0
-
-
 # ----------------------------------------------------------------- invariants
 
 
@@ -223,13 +216,6 @@ def test_quad_form_equals_rank_one_dot(a):
     assert quad_form(a, v) == pytest.approx(
         frobenius_dot(a, outer), abs=1e-12 * max(1.0, a.frob)
     )
-
-
-@given(small_symmetric())
-@settings(max_examples=60, deadline=None)
-def test_gershgorin_dominates_spectrum(a):
-    vals = np.linalg.eigvalsh(a.entries)
-    assert np.abs(vals).max() <= gershgorin_bound(a) + 1e-9 * max(1.0, a.frob)
 
 
 def test_radius_bound_dominates_rank_one_images():
