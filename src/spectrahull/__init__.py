@@ -13,14 +13,10 @@ from .symcore import (
     ShmInstance,
     SpectraplexPoint,
     SymmetricMatrix,
-    frobenius_dot,
     image,
-    quad_form,
-    radius_bound,
     rank_one_image,
 )
 from .eigen import (
-    EigenDecomposition,
     certified_min_eig,
     jacobi_eigen,
 )
@@ -35,14 +31,11 @@ from .chm import (
     PointSet,
     find_pivot,
     solve_chm,
-    ta_step,
 )
 from .shm import (
     Certificate,
-    PivotMatrixAssembly,
     PivotOutcome,
     VerificationReport,
-    assemble_pivot_matrix,
     pivot_oracle,
     prune_representation,
     solve_shm,
@@ -75,7 +68,6 @@ __all__ = [
     "ChmIterate",
     "DegeneratePivotError",
     "DimensionError",
-    "EigenDecomposition",
     "FEASIBLE",
     "Hyperplane",
     "INCONCLUSIVE",
@@ -84,7 +76,6 @@ __all__ = [
     "MaxCutResult",
     "PairCertificate",
     "PairIterate",
-    "PivotMatrixAssembly",
     "PivotOutcome",
     "PointSet",
     "RecessionDirectionError",
@@ -96,17 +87,13 @@ __all__ = [
     "SymmetricMatrix",
     "VerificationReport",
     "WITNESS",
-    "assemble_pivot_matrix",
     "certified_min_eig",
     "find_pivot",
-    "frobenius_dot",
     "image",
     "jacobi_eigen",
     "maxcut_feasibility_probe",
     "pivot_oracle",
     "prune_representation",
-    "quad_form",
-    "radius_bound",
     "rank_one_image",
     "reduce_sdp_to_shm",
     "solve_chm",
@@ -114,6 +101,5 @@ __all__ = [
     "solve_separation",
     "solve_shm",
     "solve_shm_cached",
-    "ta_step",
     "verify_certificate",
 ]

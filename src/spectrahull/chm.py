@@ -28,7 +28,6 @@ __all__ = [
     "ChmCertificate",
     "Hyperplane",
     "find_pivot",
-    "ta_step",
     "solve_chm",
     "default_iteration_cap",
 ]
@@ -155,20 +154,13 @@ def find_pivot(point_set: PointSet, p0, p_prime):
     return idx, point_set.points[idx].copy()
 
 
-def ta_step(p0, p_prime, v):
+def _ta_step(p0: np.ndarray, pp: np.ndarray, v: np.ndarray):
     """Step to the closest point to p0 on the segment [p', v].
 
     Returns the new iterate and the step size, clamped to keep the result a
-    convex combination.
+    convex combination.  Takes flat float arrays, unchecked: the step every
+    walk takes.
     """
-    p0 = np.asarray(p0, dtype=float).reshape(-1)
-    pp = np.asarray(p_prime, dtype=float).reshape(-1)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    return _ta_step(p0, pp, v)
-
-
-def _ta_step(p0: np.ndarray, pp: np.ndarray, v: np.ndarray):
-    """``ta_step`` on flat float arrays, unchecked: the step every walk takes."""
     d = v - pp
     dd = float(d @ d)
     if dd == 0.0:

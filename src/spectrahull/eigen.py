@@ -8,17 +8,15 @@ every witness margin of the solvers goes through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import SymmetricMatrix, _freeze, _squares_fit
+from .symcore import SymmetricMatrix, _squares_fit
 
 # perfbench's environment header reads this flag; ROADMAP item 2 drops it
 HAVE_NUMBA = False
 
 __all__ = [
-    "EigenDecomposition",
     "jacobi_eigen",
     "certified_min_eig",
 ]
@@ -27,42 +25,12 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Full spectrum, values ascending, eigenvectors as matching columns.
-
-    The constructor stores read-only float copies of its arguments.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        for name in ("values", "vectors"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-
-    @classmethod
-    def _owned(cls, values: np.ndarray, vectors: np.ndarray) -> "EigenDecomposition":
-        """Wrap arrays nobody else holds, freezing them in place, without the
-        constructor's copies.  Only for the fresh outputs of ``eigh``."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "values", _freeze(values))
-        object.__setattr__(out, "vectors", _freeze(vectors))
-        return out
-
-
 # perfbench --trace 1 wraps this name; ROADMAP item 2 renames it
-def jacobi_eigen(a: SymmetricMatrix) -> EigenDecomposition:
-    """Full spectrum from LAPACK's symmetric eigensolver (``numpy.linalg.eigh``).
-
-    The result holds ``eigh``'s own freshly allocated arrays, made read-only
-    rather than copied: at the orders the walk solves, the constructor's
-    copies add about half the cost of ``eigh`` itself.
-    """
-    values, vectors = np.linalg.eigh(a.entries)
-    return EigenDecomposition._owned(values, vectors)
+def jacobi_eigen(a: SymmetricMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Full spectrum from LAPACK's symmetric eigensolver: ``eigh``'s own
+    ``(values, vectors)``, values ascending, eigenvectors as matching
+    columns."""
+    return np.linalg.eigh(a.entries)
 
 
 def _gamma(k: int) -> float:
@@ -70,8 +38,9 @@ def _gamma(k: int) -> float:
     return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
 
 
-def _min_eig_error_bound(a: SymmetricMatrix, dec: EigenDecomposition) -> float:
-    """A rigorous bound delta on |lambda_min(A) - dec.values[0]|.
+def _min_eig_error_bound(a: SymmetricMatrix, vals: np.ndarray, vecs: np.ndarray) -> float:
+    """A rigorous bound delta on |lambda_min(A) - vals[0]| for the computed
+    eigenpairs ``(vals, vecs)`` of A.
 
     With R = A V - V L and E = V^T V - I for the computed pair (V, L), the
     polar factor Q of V satisfies ||V - Q||_2 <= ||E||_2, hence
@@ -90,7 +59,7 @@ def _min_eig_error_bound(a: SymmetricMatrix, dec: EigenDecomposition) -> float:
     of those moves in A (Weyl again) and in L's first entry.
     """
     n = a.n
-    mat, vals, vec = a.entries, dec.values, dec.vectors
+    mat = a.entries
     u = UNIT_ROUNDOFF
     # subnormal products may lose all relative accuracy; charge each entry
     underflow = 2.0 * (n + 2) * n * SMALLEST_SUBNORMAL
@@ -102,10 +71,10 @@ def _min_eig_error_bound(a: SymmetricMatrix, dec: EigenDecomposition) -> float:
         lam_norm = math.ldexp(lam_norm, -e)
         underflow += (n + 1) * SMALLEST_SUBNORMAL
     a_norm = float(np.linalg.norm(mat))
-    v_norm = float(np.linalg.norm(vec))
-    resid = float(np.linalg.norm(mat @ vec - vec * vals))
+    v_norm = float(np.linalg.norm(vecs))
+    resid = float(np.linalg.norm(mat @ vecs - vecs * vals))
     resid = (1.0 + 2.0 * u) * resid + _gamma(n + 1) * (a_norm + lam_norm) * v_norm
-    ortho = float(np.linalg.norm(vec.T @ vec - np.eye(n)))
+    ortho = float(np.linalg.norm(vecs.T @ vecs - np.eye(n)))
     ortho = (1.0 + 2.0 * u) * ortho + _gamma(n + 1) * v_norm * v_norm
     delta = resid + (a_norm + lam_norm) * ortho
     return math.ldexp((1.0 + _gamma(n * n + 8)) * (delta + underflow), e)
@@ -121,7 +90,7 @@ def certified_min_eig(
     ``value <= bar`` (the caller only wants a direction at or below the bar)
     it is skipped and ``delta`` is ``inf``, which is still a true bound.
     """
-    dec = jacobi_eigen(a)
-    value = float(dec.values[0])
-    delta = math.inf if bar is not None and value <= bar else _min_eig_error_bound(a, dec)
-    return value, dec.vectors[:, 0].copy(), delta
+    vals, vecs = jacobi_eigen(a)
+    value = float(vals[0])
+    delta = math.inf if bar is not None and value <= bar else _min_eig_error_bound(a, vals, vecs)
+    return value, vecs[:, 0].copy(), delta

@@ -119,7 +119,8 @@ def reduce_sdp_to_shm(sdp: SdpFeasibilityInstance) -> SdpReduction:
         bordered[k, :n, :n] = a.entries
     bordered[:, n, n] = -sdp.rhs
     instance = ShmInstance(bordered, np.zeros(sdp.m))
-    return SdpReduction(instance, bool(np.linalg.norm(sdp.rhs) == 0.0))
+    # not the norm: squares of entries below about 1e-160 underflow to zero
+    return SdpReduction(instance, not np.any(sdp.rhs))
 
 
 @dataclass(frozen=True)
@@ -320,10 +321,9 @@ def solve_maxcut_relaxation(
         trace.append(
             ProbeRecord(n * omega, cert.kind, cert.gap, cert.iterations, cert.oracle_calls)
         )
-        if cert.point is not None:
-            # any iterate transfers between probes: the target moves, the set
-            # does not, so the next probe resumes instead of restarting
-            warm = cert.point
+        # any iterate transfers between probes: the target moves, the set
+        # does not, so the next probe resumes instead of restarting
+        warm = cert.point
         return cert
 
     def settle(omega: float, cert) -> None:

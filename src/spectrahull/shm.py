@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,11 +59,9 @@ min_eig_power = None
 
 __all__ = [
     "Certificate",
-    "PivotMatrixAssembly",
     "PivotOutcome",
     "SolveStats",
     "VerificationReport",
-    "assemble_pivot_matrix",
     "pivot_oracle",
     "prune_representation",
     "solve_shm",
@@ -76,40 +74,13 @@ logger = logging.getLogger(__name__)
 TERM_DROP_EPS = 1e-14
 
 
-@dataclass
-class PivotMatrixAssembly:
-    """Residual-weighted combination of the instance matrices.
-
-    ``matrix``, the sum of ``resid[k] * A_k``, is assembled on first use as
-    one matrix-vector product with the instance's (m, n*n) ``flat`` view,
-    then symmetrized exactly.  ``threshold`` is the pivot bar for quadratic
-    forms.
-    """
-
-    instance: ShmInstance
-    resid: np.ndarray
-    threshold: float
-
-    @cached_property
-    def matrix(self) -> SymmetricMatrix:
-        # a combination of validated matrices: symmetrize, skip the checks
-        n = self.instance.n
-        return SymmetricMatrix._symmetrized((self.resid @ self.instance.flat).reshape(n, n))
-
-
-def _make_assembly(instance: ShmInstance, p_image: np.ndarray, target=None) -> PivotMatrixAssembly:
-    if target is None:
-        target = instance.b
-    # the bar is algebraically (|p'|^2 - |target|^2)/2; the bisector's form
-    # survives p' near target
-    resid, threshold = _bisector(p_image, target)
-    return PivotMatrixAssembly(instance, resid, threshold)
-
-
-def assemble_pivot_matrix(instance: ShmInstance, point: SpectraplexPoint) -> PivotMatrixAssembly:
-    """Build the pivot matrix and bar at a point, from its image (see
-    ``symcore.image``)."""
-    return _make_assembly(instance, image(instance, point))
+def _pivot_matrix(instance: ShmInstance, resid: np.ndarray) -> SymmetricMatrix:
+    """The residual-weighted combination, the sum of ``resid[k] * A_k``: one
+    matrix-vector product with the instance's (m, n*n) ``flat`` view, then
+    symmetrized exactly."""
+    # a combination of validated matrices: symmetrize, skip the checks
+    n = instance.n
+    return SymmetricMatrix._symmetrized((resid @ instance.flat).reshape(n, n))
 
 
 @dataclass(frozen=True)
@@ -144,8 +115,9 @@ class PivotOutcome:
         return not self.found and self.margin > 0.0
 
 
-def pivot_oracle(assembly: PivotMatrixAssembly) -> PivotOutcome:
-    """Search the spectraplex for a pivot direction with one LAPACK
+def pivot_oracle(matrix: SymmetricMatrix, threshold: float) -> PivotOutcome:
+    """Search the spectraplex for a direction whose quadratic form under the
+    pivot matrix is at or below the bar ``threshold``, with one LAPACK
     eigendecomposition (``method="jacobi"``).
 
     The pivot is the eigenvector of the smallest eigenvalue, which minimises
@@ -155,12 +127,11 @@ def pivot_oracle(assembly: PivotMatrixAssembly) -> PivotOutcome:
     ``certified`` when the smallest eigenvalue clears the bar by more than
     that bound.
     """
-    thr = assembly.threshold
-    lam, vec, delta = certified_min_eig(assembly.matrix, thr)
-    if lam <= thr:
-        return PivotOutcome(True, vec, lam, thr)
+    lam, vec, delta = certified_min_eig(matrix, threshold)
+    if lam <= threshold:
+        return PivotOutcome(True, vec, lam, threshold)
     # lam clears the bar, so delta was computed
-    return PivotOutcome(False, None, lam, thr, error_bound=delta)
+    return PivotOutcome(False, None, lam, threshold, error_bound=delta)
 
 
 @dataclass
@@ -235,15 +206,17 @@ class _Iterate(_Walk):
 
     def step(self, target):
         """One pivot query against ``target`` and, if it finds a pivot, the
-        step toward it.  Returns the oracle outcome and the assembly it
-        answered; raises ``DegeneratePivotError`` when the pivot's image
-        equals the iterate's."""
-        asm = _make_assembly(self.instance, self.image, target)
-        out = pivot_oracle(asm)
+        step toward it.  Returns the oracle outcome and the residual that
+        weights its pivot matrix; raises ``DegeneratePivotError`` when the
+        pivot's image equals the iterate's."""
+        # the bar is algebraically (|p'|^2 - |target|^2)/2; the bisector's
+        # form survives p' near target
+        resid, threshold = _bisector(self.image, target)
+        out = pivot_oracle(_pivot_matrix(self.instance, resid), threshold)
         self.stats.oracle_calls += 1
         if out.found:
             self.add(target, out.vector, rank_one_image(self.instance, out.vector))
-        return out, asm
+        return out, resid
 
     def snapshot(self) -> tuple[SpectraplexPoint, np.ndarray]:
         """The atoms as a point with at most min(m+1, n) terms, and its
@@ -261,11 +234,11 @@ def _spectral_factors(instance: ShmInstance, dense: np.ndarray):
     """
     from .eigen import jacobi_eigen  # resolved per call, where perfbench's trace wraps it
 
-    dec = jacobi_eigen(SymmetricMatrix(dense))
-    vals = np.clip(dec.values, 0.0, None)
+    vals, vecs = jacobi_eigen(SymmetricMatrix(dense))
+    vals = np.clip(vals, 0.0, None)
     keep = vals > TERM_DROP_EPS
     vals = vals[keep]
-    v = dec.vectors[:, keep].T.copy()
+    v = vecs[:, keep].T.copy()
     return vals / vals.sum(), v, _term_images(instance, v)
 
 
@@ -339,7 +312,7 @@ def _run(instance, epsilon, max_iters, start):
         if iterations >= max_iters:
             return certificate(INCONCLUSIVE, it.snapshot()[0], gap)
         try:
-            out, asm = it.step(b)
+            out, resid = it.step(b)
         except DegeneratePivotError:
             # a true pivot never shares the iterate's image; reaching here
             # means the residual is float noise and the point is as good as
@@ -352,7 +325,7 @@ def _run(instance, epsilon, max_iters, start):
         if out.found:
             iterations += 1
         elif out.certified:
-            hp = Hyperplane(asm.resid.copy(), asm.threshold)
+            hp = Hyperplane(resid.copy(), out.threshold)
             return certificate(
                 WITNESS, it.snapshot()[0], gap, hyperplane=hp, eig_margin=out.margin
             )
@@ -450,12 +423,13 @@ def verify_certificate(
         note(gap <= cert.epsilon * instance.radius_bound + tol, "gap within tolerance ball")
     else:
         note(cert.hyperplane is not None, "hyperplane present")
-        asm = _make_assembly(instance, img)
-        note(_positive_definite(asm.matrix, asm.threshold), "Cholesky of A - bar*I")
+        resid, bar = _bisector(img, instance.b)
+        a = _pivot_matrix(instance, resid)
+        note(_positive_definite(a, bar), "Cholesky of A - bar*I")
         stored = cert.eig_margin
         note(
             stored is not None and stored > 0.0
-            and _positive_definite(asm.matrix, asm.threshold + 0.5 * stored),
+            and _positive_definite(a, bar + 0.5 * stored),
             f"stored margin {'missing' if stored is None else f'{stored:.3e}'}"
             " confirmed by Cholesky of A - (bar + margin/2)*I",
         )

@@ -77,7 +77,7 @@ class PairCertificate:
 
 def _coerce_side(side, name: str) -> ShmInstance:
     if isinstance(side, ShmInstance):
-        if float(np.linalg.norm(side.b)) != 0.0:
+        if np.any(side.b):
             return side._with_target(np.zeros(side.m))
         return side
     mats = tuple(side)

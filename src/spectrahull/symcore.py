@@ -18,11 +18,8 @@ __all__ = [
     "SymmetricMatrix",
     "SpectraplexPoint",
     "ShmInstance",
-    "frobenius_dot",
-    "quad_form",
     "image",
     "rank_one_image",
-    "radius_bound",
 ]
 
 ASYMMETRY_TOL = 1e-9
@@ -227,11 +224,13 @@ class ShmInstance:
     and rejects exactly what ``SymmetricMatrix`` does, one matrix at a time.
     ``flat`` is the same memory viewed as (m, n*n), so that a weighted sum
     of the matrices is one matrix-vector product, ``(y @ flat).reshape(n,
-    n)``.  ``radius_bound`` is the precomputed over-estimate of the farthest
-    reachable distance, equal bit for bit to ``radius_bound(mats, b)``; a
-    family or target whose bound overflows is rejected.  ``_with_target(b)``
-    gives the instance of the same family with another target, sharing
-    ``mats``, ``stack``, ``flat`` and the members' Frobenius norms.
+    n)``.  ``radius_bound``, ||b|| plus the summed Frobenius norms of the
+    members, is a sound over-estimate of the farthest distance from the
+    target: the image of any spectraplex point has norm at most that sum.
+    Only the stopping rules consume it.  A family or target whose bound
+    overflows is rejected.  ``_with_target(b)`` gives the instance of the
+    same family with another target, sharing ``mats``, ``stack``, ``flat``
+    and the members' Frobenius norms.
     """
 
     mats: tuple[SymmetricMatrix, ...]
@@ -269,7 +268,7 @@ class ShmInstance:
             raise DimensionError(f"target has {b.shape[0]} entries for {self.m} matrices")
         if not np.isfinite(b).all():
             raise ValueError("target must be finite")
-        # radius_bound(mats, b), summed in its order from the kept norms
+        # ||b|| first, then each member's kept norm in order
         with np.errstate(over="ignore"):
             bound = float(np.linalg.norm(b))
         for norm in self._norms:
@@ -336,23 +335,6 @@ def _validated_stack(mats) -> np.ndarray:
     return _symmetrize(a, False)
 
 
-def frobenius_dot(a: SymmetricMatrix, b: SymmetricMatrix) -> float:
-    """Frobenius inner product Tr(A B)."""
-    if a.n != b.n:
-        raise DimensionError(f"orders {a.n} and {b.n} do not match")
-    return float(np.vdot(a.entries, b.entries))
-
-
-def quad_form(a: SymmetricMatrix, v) -> float:
-    """Quadratic form v^T A v; equals the Frobenius product of A with v v^T."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape[0] != a.n:
-        raise DimensionError(f"vector of length {v.shape[0]} against order {a.n}")
-    if not np.any(v):
-        raise ValueError("quad_form requires a nonzero vector")
-    return float(v @ a.entries @ v)
-
-
 def rank_one_image(instance: ShmInstance, v) -> np.ndarray:
     """Image of the rank-one point v v^T, one quadratic form per matrix."""
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -377,22 +359,3 @@ def image(instance: ShmInstance, point: SpectraplexPoint) -> np.ndarray:
     if point.n != instance.n:
         raise DimensionError(f"point order {point.n} against instance order {instance.n}")
     return point.weights @ _term_images(instance, point.vectors)
-
-
-def radius_bound(mats, b) -> float:
-    """Sound over-estimate of the farthest distance from the target.
-
-    The image of any spectraplex point has norm at most the summed Frobenius
-    norms, so ||b|| plus that sum dominates every reachable distance.  Cheap,
-    and avoids an eigensolve; only the stopping rule consumes it.  It is inf
-    when a sum of squares overflows.
-    """
-    b = np.asarray(b, dtype=float).reshape(-1)
-    # an overflowing sum of squares gives inf, which callers reject
-    with np.errstate(over="ignore"):
-        total = float(np.linalg.norm(b))
-        for m in mats:
-            e = m.entries if isinstance(m, SymmetricMatrix) else np.asarray(m, dtype=float)
-            total += float(np.linalg.norm(e))
-    return total
-

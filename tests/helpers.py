@@ -6,7 +6,7 @@ reproducible under pytest's random ordering.
 
 import numpy as np
 
-from spectrahull import PointSet, ShmInstance
+from spectrahull import PointSet, ShmInstance, SymmetricMatrix
 
 # outside targets are pushed at least this far past the supporting face,
 # far beyond any epsilon * radius threshold the tests use
@@ -18,6 +18,17 @@ def random_symmetric(rng, n, scale=1.0):
     a = rng.uniform(-scale, scale, size=(n, n))
     out = np.triu(a) + np.triu(a, 1).T
     return out
+
+
+def radius_bound(mats, b):
+    """||b|| plus the members' Frobenius norms, each from np.linalg.norm and
+    summed in that order: the reference that ``ShmInstance.radius_bound``
+    equals bit for bit."""
+    total = float(np.linalg.norm(np.asarray(b, dtype=float)))
+    for a in mats:
+        entries = a.entries if isinstance(a, SymmetricMatrix) else np.asarray(a, dtype=float)
+        total += float(np.linalg.norm(entries))
+    return total
 
 
 def diagonal_family(rng, n, m):

@@ -13,9 +13,8 @@ from spectrahull import (
     PointSet,
     find_pivot,
     solve_chm,
-    ta_step,
 )
-from spectrahull.chm import _nearest_weights, default_iteration_cap
+from spectrahull.chm import _nearest_weights, _ta_step, default_iteration_cap
 
 TRIANGLE = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 SEGMENT = PointSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -77,19 +76,19 @@ def test_find_pivot_meets_the_tighter_bar_whenever_a_point_does():
 
 
 def test_ta_step_one_dimensional():
-    p, alpha = ta_step(np.array([2.0]), np.array([1.0]), np.array([3.0]))
+    p, alpha = _ta_step(np.array([2.0]), np.array([1.0]), np.array([3.0]))
     assert alpha == 0.5
     assert p[0] == 2.0
 
 
 def test_ta_step_pivot_equals_target():
-    p, alpha = ta_step(np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+    p, alpha = _ta_step(np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 0.0]))
     assert alpha == 1.0
     assert np.allclose(p, [0.0, 0.0])
 
 
 def test_ta_step_two_dimensional():
-    p, alpha = ta_step(
+    p, alpha = _ta_step(
         np.array([0.25, 0.25]), np.array([1.0, 0.0]), np.array([0.0, 1.0])
     )
     assert alpha == 0.5
@@ -97,15 +96,15 @@ def test_ta_step_two_dimensional():
 
 
 def test_ta_step_clamps_both_ends():
-    p_hi, a_hi = ta_step(np.array([3.0]), np.array([1.0]), np.array([2.0]))
+    p_hi, a_hi = _ta_step(np.array([3.0]), np.array([1.0]), np.array([2.0]))
     assert a_hi == 1.0 and p_hi[0] == 2.0
-    p_lo, a_lo = ta_step(np.array([0.0]), np.array([1.0]), np.array([3.0]))
+    p_lo, a_lo = _ta_step(np.array([0.0]), np.array([1.0]), np.array([3.0]))
     assert a_lo == 0.0 and p_lo[0] == 1.0
 
 
 def test_ta_step_degenerate_pivot():
     with pytest.raises(DegeneratePivotError):
-        ta_step(np.zeros(2), np.ones(2), np.ones(2))
+        _ta_step(np.zeros(2), np.ones(2), np.ones(2))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -118,7 +117,7 @@ def test_ta_step_never_increases_distance(seed):
     v = rng.standard_normal(dim)
     if np.allclose(v, pp):
         v = pp + 1.0
-    p, alpha = ta_step(p0, pp, v)
+    p, alpha = _ta_step(p0, pp, v)
     assert 0.0 <= alpha <= 1.0
     assert np.linalg.norm(p - p0) <= np.linalg.norm(pp - p0) + 1e-12
 
@@ -248,7 +247,7 @@ def test_driven_gaps_strictly_decrease(seed):
         _, v = hit
         if np.allclose(v, p):
             break
-        p, _ = ta_step(p0, p, v)
+        p, _ = _ta_step(p0, p, v)
         gap = np.linalg.norm(p - p0)
         assert gap <= last + 1e-12
         assert gap < last or gap <= 1e-12

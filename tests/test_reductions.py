@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from spectrahull import reductions
+from spectrahull import cli, reductions
 from spectrahull import (
     FEASIBLE,
     INCONCLUSIVE,
@@ -70,6 +70,20 @@ def test_zero_rhs_sets_degenerate_flag():
     # the pure corner point always maps to the zero image here
     corner = SpectraplexPoint(np.array([1.0]), np.array([[0.0, 0.0, 1.0]]))
     np.testing.assert_allclose(image(red.membership, corner), np.zeros(1))
+
+
+def test_tiny_nonzero_rhs_is_not_degenerate(tmp_path, capsys):
+    """A right-hand side whose squares underflow is still nonzero: the flag
+    stays False and the CLI reports the recovered solution."""
+    sdp = SdpFeasibilityInstance((np.eye(2),), np.array([1e-200]))
+    assert not reduce_sdp_to_shm(sdp).degenerate_rhs
+    path = tmp_path / "tiny-rhs.sdp"
+    path.write_text("sdp\nn 2\nm 1\nb 1e-200\nA 1\n1 0\n0 1\n")
+    assert cli.run(["solve", "--input", str(path)]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "degenerate-rhs false" in lines
+    assert sum(line.startswith("alpha ") for line in lines) == 1
+    assert sum(line.startswith("solution-row ") for line in lines) == 2
 
 
 def test_recover_rejects_vanishing_corner_weight():

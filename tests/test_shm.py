@@ -1,4 +1,4 @@
-"""Spectrahull membership: pivot assembly, oracle ladder, solver, verification."""
+"""Spectrahull membership: pivot matrix, oracle, solver, verification."""
 
 import dataclasses
 import math
@@ -13,10 +13,9 @@ from spectrahull import (
     FEASIBLE,
     INCONCLUSIVE,
     WITNESS,
-    PivotMatrixAssembly,
     ShmInstance,
     SpectraplexPoint,
-    assemble_pivot_matrix,
+    SymmetricMatrix,
     certified_min_eig,
     image,
     pivot_oracle,
@@ -28,8 +27,7 @@ from spectrahull import (
     verify_certificate,
 )
 from spectrahull import shm
-from spectrahull.chm import NOISE_FLOOR
-from spectrahull.shm import _make_assembly
+from spectrahull.chm import NOISE_FLOOR, _bisector
 
 import helpers
 
@@ -42,14 +40,21 @@ def interval_with(b):
     return ShmInstance((np.diag([1.0, 2.0, 3.0]),), np.array([float(b)]))
 
 
-# ------------------------------------------------------------------- assembly
+def pivot_query(inst, p_image):
+    """The residual, pivot matrix and bar at an iterate's image, formed as
+    ``_Iterate.step`` forms them."""
+    resid, bar = _bisector(p_image, inst.b)
+    return resid, shm._pivot_matrix(inst, resid), bar
+
+
+# --------------------------------------------------------------- pivot matrix
 
 
 def test_assembly_interval_from_corner():
-    asm = assemble_pivot_matrix(INTERVAL, E1)
-    assert np.allclose(asm.matrix.entries, -np.diag([1.0, 2.0, 3.0]))
-    assert asm.threshold == -1.5
-    assert np.allclose(asm.resid, [-1.0])
+    resid, a, bar = pivot_query(INTERVAL, image(INTERVAL, E1))
+    assert np.allclose(a.entries, -np.diag([1.0, 2.0, 3.0]))
+    assert bar == -1.5
+    assert np.allclose(resid, [-1.0])
 
 
 def test_assembly_zero_residual():
@@ -58,9 +63,9 @@ def test_assembly_zero_residual():
         np.array([0.5, 0.5]),
         np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
     )
-    asm = assemble_pivot_matrix(INTERVAL, half)
-    assert np.allclose(asm.matrix.entries, 0.0)
-    assert asm.threshold == 0.0
+    _, a, bar = pivot_query(INTERVAL, image(INTERVAL, half))
+    assert np.allclose(a.entries, 0.0)
+    assert bar == 0.0
 
 
 def test_assembly_two_constraint_example():
@@ -68,9 +73,9 @@ def test_assembly_two_constraint_example():
         (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), np.array([0.5, 0.5])
     )
     corner = SpectraplexPoint.rank_one([1.0, 0.0])
-    asm = assemble_pivot_matrix(coords, corner)
-    assert np.allclose(asm.matrix.entries, np.diag([0.5, -0.5]))
-    assert asm.threshold == 0.25
+    _, a, bar = pivot_query(coords, image(coords, corner))
+    assert np.allclose(a.entries, np.diag([0.5, -0.5]))
+    assert bar == 0.25
 
 
 def test_pivot_matrix_is_the_exact_symmetrization():
@@ -78,9 +83,9 @@ def test_pivot_matrix_is_the_exact_symmetrization():
     inst = ShmInstance(
         tuple(helpers.random_symmetric(rng, 6) for _ in range(4)), rng.standard_normal(4)
     )
-    asm = _make_assembly(inst, rng.standard_normal(4))
-    raw = np.tensordot(asm.resid, inst.stack, axes=1)
-    entries = asm.matrix.entries
+    resid, piv, _ = pivot_query(inst, rng.standard_normal(4))
+    raw = np.tensordot(resid, inst.stack, axes=1)
+    entries = piv.entries
     assert np.array_equal(entries, 0.5 * (raw + raw.T))
     assert np.array_equal(entries, entries.T)
     assert not entries.flags.writeable
@@ -95,10 +100,10 @@ def test_pivot_matrix_through_the_flat_view_is_the_dense_contraction(n, m, zero)
     rng = np.random.default_rng(100 * n + m)
     mats = tuple(helpers.random_symmetric(rng, n) for _ in range(m))
     inst = ShmInstance(mats, rng.standard_normal(m))
-    asm = _make_assembly(inst, inst.b if zero else rng.standard_normal(m))
-    entries = asm.matrix.entries
-    dense = sum(r * a for r, a in zip(asm.resid, mats))
-    scale = sum(abs(r) * np.abs(a) for r, a in zip(asm.resid, mats))
+    resid, piv, _ = pivot_query(inst, inst.b if zero else rng.standard_normal(m))
+    entries = piv.entries
+    dense = sum(r * a for r, a in zip(resid, mats))
+    scale = sum(abs(r) * np.abs(a) for r, a in zip(resid, mats))
     assert np.all(np.abs(entries - dense) <= 1e-14 * scale)
     assert np.array_equal(entries, entries.T)
     if zero:
@@ -109,16 +114,19 @@ def test_pivot_matrix_through_the_flat_view_is_the_dense_contraction(n, m, zero)
 
 def test_assembly_strict_threshold():
     # the bisector's bar (|p'|^2 - |b|^2) / 2 at p' = 1, b = 2
-    asm = _make_assembly(INTERVAL, np.array([1.0]))
-    assert asm.threshold == -1.5
+    _, _, bar = pivot_query(INTERVAL, np.array([1.0]))
+    assert bar == -1.5
 
 
 # --------------------------------------------------------------- pivot oracle
 
 
+# the pivot matrix and bar of INTERVAL at the iterate image 1: residual -1
+NEG_INTERVAL = SymmetricMatrix(-np.diag([1.0, 2.0, 3.0]))
+
+
 def test_oracle_exact_finds_corner_pivot():
-    asm = _make_assembly(INTERVAL, np.array([1.0]))
-    out = pivot_oracle(asm)
+    out = pivot_oracle(NEG_INTERVAL, -1.5)
     assert out.found
     assert np.allclose(np.abs(out.vector), [0.0, 0.0, 1.0])
     assert out.lambda_min == pytest.approx(-3.0, abs=1e-12)
@@ -126,19 +134,17 @@ def test_oracle_exact_finds_corner_pivot():
 
 
 def test_oracle_power_clears_bar():
-    asm = _make_assembly(INTERVAL, np.array([1.0]))
-    out = pivot_oracle(asm)
+    out = pivot_oracle(NEG_INTERVAL, -1.5)
     assert out.found
-    assert out.lambda_min <= asm.threshold
+    assert out.lambda_min <= -1.5
     v_img = rank_one_image(INTERVAL, out.vector)
-    assert float(asm.resid @ v_img) == pytest.approx(out.lambda_min, abs=1e-10)
+    # the residual is -1, so the pivot's value is -v_img[0]
+    assert float(-v_img[0]) == pytest.approx(out.lambda_min, abs=1e-10)
 
 
 def test_oracle_certified_absence():
     # hand-built bar well below the spectrum: lambda_min -6 beats -8
-    asm = PivotMatrixAssembly(INTERVAL, np.array([-2.0]), -8.0)
-    assert np.allclose(asm.matrix.entries, -2.0 * np.diag([1.0, 2.0, 3.0]))
-    out = pivot_oracle(asm)
+    out = pivot_oracle(SymmetricMatrix(-2.0 * np.diag([1.0, 2.0, 3.0])), -8.0)
     assert not out.found
     assert out.lambda_min == pytest.approx(-6.0, abs=1e-9)
     assert out.method == "jacobi"  # absence is always eigensolver-certified
@@ -151,8 +157,7 @@ def test_oracle_certified_absence():
 def test_oracle_bar_within_error_bound_is_not_certified():
     # lambda_min is -6 exactly; a bar one ulp below it sits inside the bound
     bar = math.nextafter(-6.0, -math.inf)
-    asm = PivotMatrixAssembly(INTERVAL, np.array([-2.0]), bar)
-    out = pivot_oracle(asm)
+    out = pivot_oracle(SymmetricMatrix(-2.0 * np.diag([1.0, 2.0, 3.0])), bar)
     assert not out.found
     assert out.lambda_min > out.threshold
     assert out.margin < 0.0
@@ -160,8 +165,7 @@ def test_oracle_bar_within_error_bound_is_not_certified():
 
 
 def test_oracle_zero_matrix_degenerate_pivot():
-    asm = _make_assembly(INTERVAL, np.array([2.0]))
-    out = pivot_oracle(asm)
+    out = pivot_oracle(SymmetricMatrix.zeros(3), 0.0)
     assert out.found
     assert out.lambda_min == 0.0
 
@@ -178,17 +182,17 @@ def test_found_pivot_minimises_the_form():
             for _ in range(2)
         )
         inst = ShmInstance(mats, image(ShmInstance(mats, np.zeros(m)), x))
-        asm = _make_assembly(inst, image(inst, y))
-        out = pivot_oracle(asm)
+        resid, a, bar = pivot_query(inst, image(inst, y))
+        out = pivot_oracle(a, bar)
         assert out.found
-        allowance = 1e-12 * (1.0 + asm.matrix.frob)
-        value = float(asm.resid @ rank_one_image(inst, out.vector))
-        lam = np.linalg.eigvalsh(asm.matrix.entries)[0]
+        allowance = 1e-12 * (1.0 + a.frob)
+        value = float(resid @ rank_one_image(inst, out.vector))
+        lam = np.linalg.eigvalsh(a.entries)[0]
         assert out.lambda_min == pytest.approx(lam, abs=allowance)
         assert value == pytest.approx(out.lambda_min, abs=allowance)
         u = helpers.random_unit_vectors(rng, 1000, n)
-        assert np.all(shm._term_images(inst, u) @ asm.resid >= value - allowance)
-        assert value <= float(asm.resid @ inst.b) + allowance
+        assert np.all(shm._term_images(inst, u) @ resid >= value - allowance)
+        assert value <= float(resid @ inst.b) + allowance
 
 
 # ---------------------------------------------------------------------- solve
@@ -539,7 +543,8 @@ def test_solves_share_no_mutable_state(monkeypatch):
     """The start point cached per order, the walk's atom arrays and the
     eigendecompositions handed out without a copy carry nothing from one
     solve into the next: one instance solved twice, around a solve at
-    another order, gives identical certificates."""
+    another order, gives identical certificates, and no solve writes into
+    an eigendecomposition it was handed."""
     rng = np.random.default_rng(21)
 
     def instance(n, m, push):
@@ -552,9 +557,9 @@ def test_solves_share_no_mutable_state(monkeypatch):
     real_eigen = spectrahull.eigen.jacobi_eigen
 
     def recording(a):
-        dec = real_eigen(a)
-        decs.append((dec, dec.values.copy(), dec.vectors.copy()))
-        return dec
+        vals, vecs = real_eigen(a)
+        decs.append((vals, vecs, vals.copy(), vecs.copy()))
+        return vals, vecs
 
     monkeypatch.setattr(spectrahull.eigen, "jacobi_eigen", recording)
     start = shm._rank_one_start(5)
@@ -579,10 +584,9 @@ def test_solves_share_no_mutable_state(monkeypatch):
         assert not arr.flags.writeable
         np.testing.assert_array_equal(arr, was)
     assert decs
-    for dec, values, vectors in decs:
-        assert not dec.values.flags.writeable and not dec.vectors.flags.writeable
-        np.testing.assert_array_equal(dec.values, values)
-        np.testing.assert_array_equal(dec.vectors, vectors)
+    for vals, vecs, values, vectors in decs:
+        np.testing.assert_array_equal(vals, values)
+        np.testing.assert_array_equal(vecs, vectors)
 
 
 # ----------------------------------------------------------------- verify
@@ -700,9 +704,9 @@ def test_witness_fuzz_at_tolerance_depth(seed):
             continue
         witnesses += 1
         assert cert.eig_margin > 0.0
-        asm = assemble_pivot_matrix(inst, cert.point)
-        lam, _, delta = certified_min_eig(asm.matrix)
-        assert lam - delta - asm.threshold > 0.0
+        _, a, bar = pivot_query(inst, image(inst, cert.point))
+        lam, _, delta = certified_min_eig(a)
+        assert lam - delta - bar > 0.0
         report = verify_certificate(inst, cert, sample_count=200, seed=seed)
         assert report.passed, report.checks
     assert witnesses >= 1

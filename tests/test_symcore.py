@@ -12,11 +12,8 @@ from spectrahull import (
     ShmInstance,
     SpectraplexPoint,
     SymmetricMatrix,
-    frobenius_dot,
     image,
     maxcut_feasibility_probe,
-    quad_form,
-    radius_bound,
     rank_one_image,
     reduce_sdp_to_shm,
 )
@@ -114,33 +111,6 @@ def test_instance_requires_matching_orders():
 # -------------------------------------------------------------- frozen values
 
 
-def test_frobenius_dot_frozen():
-    assert frobenius_dot(SymmetricMatrix.identity(2), SymmetricMatrix.identity(2)) == 2.0
-    assert (
-        frobenius_dot(SymmetricMatrix.diag([1.0, 2.0]), SymmetricMatrix.diag([3.0, 4.0]))
-        == 11.0
-    )
-    assert frobenius_dot(OFFDIAG, OFFDIAG) == 2.0
-
-
-def test_frobenius_dot_order_mismatch():
-    with pytest.raises(DimensionError):
-        frobenius_dot(SymmetricMatrix.identity(2), SymmetricMatrix.identity(3))
-
-
-def test_quad_form_frozen():
-    assert quad_form(SymmetricMatrix.diag([1.0, 2.0, 3.0]), [0.0, 0.0, 1.0]) == 3.0
-    s = 1.0 / np.sqrt(2.0)
-    assert quad_form(OFFDIAG, [s, s]) == pytest.approx(1.0, abs=1e-15)
-    two_one = SymmetricMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert quad_form(two_one, [s, -s]) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_quad_form_rejects_zero_vector():
-    with pytest.raises(ValueError):
-        quad_form(OFFDIAG, [0.0, 0.0])
-
-
 def test_image_frozen():
     coords = ShmInstance((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), np.zeros(2))
     assert np.allclose(
@@ -150,15 +120,21 @@ def test_image_frozen():
     off = ShmInstance((OFFDIAG,), np.zeros(1))
     s = 1.0 / np.sqrt(2.0)
     assert np.allclose(rank_one_image(off, [s, s]), [1.0])
+    # each entry is a quadratic form v^T A_k v
+    forms = ShmInstance((np.diag([1.0, 2.0, 3.0]),), np.zeros(1))
+    assert rank_one_image(forms, [0.0, 0.0, 1.0])[0] == 3.0
+    two_one = ShmInstance((np.array([[2.0, 1.0], [1.0, 2.0]]),), np.zeros(1))
+    assert rank_one_image(two_one, [s, -s])[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_radius_bound_frozen():
-    assert radius_bound((np.diag([1.0, 2.0, 3.0]),), [2.0]) == pytest.approx(
-        2.0 + np.sqrt(14.0)
-    )
-    assert radius_bound((np.zeros((2, 2)),), [0.0]) == 0.0
+    def bound(mats, b):
+        return ShmInstance(mats, np.array(b)).radius_bound
+
+    assert bound((np.diag([1.0, 2.0, 3.0]),), [2.0]) == pytest.approx(2.0 + np.sqrt(14.0))
+    assert bound((np.zeros((2, 2)),), [0.0]) == 0.0
     half = np.array([[0.0, 0.5], [0.5, 0.0]])
-    assert radius_bound((half,), [2.0]) == pytest.approx(np.sqrt(0.5) + 2.0)
+    assert bound((half,), [2.0]) == pytest.approx(np.sqrt(0.5) + 2.0)
 
 
 # ----------------------------------------------------------------- invariants
@@ -208,13 +184,15 @@ def test_term_images_kernel_matches_dense_contraction(seed):
 
 @given(small_symmetric())
 @settings(max_examples=60, deadline=None)
-def test_quad_form_equals_rank_one_dot(a):
+def test_rank_one_image_equals_frobenius_dot(a):
+    """The image of v v^T under A, a quadratic form, is the Frobenius
+    product of A with v v^T."""
     rng = np.random.default_rng(0)
     v = rng.standard_normal(a.n)
     v /= np.linalg.norm(v)
-    outer = SymmetricMatrix(np.outer(v, v))
-    assert quad_form(a, v) == pytest.approx(
-        frobenius_dot(a, outer), abs=1e-12 * max(1.0, a.frob)
+    form = rank_one_image(ShmInstance((a,), np.zeros(1)), v)[0]
+    assert form == pytest.approx(
+        float(np.vdot(a.entries, np.outer(v, v))), abs=1e-12 * max(1.0, a.frob)
     )
 
 
@@ -293,7 +271,7 @@ def test_retargeted_probes_share_one_stack_and_match_fresh_bounds():
     for inst in (first, second):
         fresh = ShmInstance(inst.mats, inst.b)
         assert inst.radius_bound == fresh.radius_bound
-        assert inst.radius_bound == radius_bound(inst.mats, inst.b)
+        assert inst.radius_bound == helpers.radius_bound(inst.mats, inst.b)
         np.testing.assert_array_equal(inst.stack, fresh.stack)
 
 
@@ -306,8 +284,8 @@ def test_instance_radius_bound_is_the_public_bound_bit_for_bit(seed):
     raw = tuple(helpers.random_symmetric(rng, n) * s for s in scale)
     b = rng.standard_normal(m) * 10.0 ** rng.integers(-5, 5)
     for inst in (ShmInstance(raw, b), ShmInstance(raw, np.zeros(m))._with_target(b)):
-        assert inst.radius_bound == radius_bound(raw, b)
-        assert inst.radius_bound == radius_bound(inst.mats, b)
+        assert inst.radius_bound == helpers.radius_bound(raw, b)
+        assert inst.radius_bound == helpers.radius_bound(inst.mats, b)
 
 
 def test_retargeting_checks_the_new_target():
