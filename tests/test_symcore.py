@@ -120,11 +120,19 @@ def test_image_frozen():
     off = ShmInstance((OFFDIAG,), np.zeros(1))
     s = 1.0 / np.sqrt(2.0)
     assert np.allclose(rank_one_image(off, [s, s]), [1.0])
-    # each entry is a quadratic form v^T A_k v
-    forms = ShmInstance((np.diag([1.0, 2.0, 3.0]),), np.zeros(1))
-    assert rank_one_image(forms, [0.0, 0.0, 1.0])[0] == 3.0
-    two_one = ShmInstance((np.array([[2.0, 1.0], [1.0, 2.0]]),), np.zeros(1))
-    assert rank_one_image(two_one, [s, -s])[0] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_quad_form_frozen():
+    """Each entry of a rank-one image is the quadratic form v^T A_k v."""
+
+    def quad_form(a, v):
+        return rank_one_image(ShmInstance((a,), np.zeros(1)), v)[0]
+
+    assert quad_form(np.diag([1.0, 2.0, 3.0]), [0.0, 0.0, 1.0]) == 3.0
+    s = 1.0 / np.sqrt(2.0)
+    assert quad_form(OFFDIAG, [s, s]) == pytest.approx(1.0, abs=1e-15)
+    two_one = np.array([[2.0, 1.0], [1.0, 2.0]])
+    assert quad_form(two_one, [s, -s]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_radius_bound_frozen():
