@@ -374,12 +374,12 @@ def solve_chm(
             return certificate(FEASIBLE, gap)
         if iterations >= max_iters:
             return certificate(INCONCLUSIVE, gap)
-        hit = find_pivot(point_set, p0, p)
-        if hit is None:
-            return certificate(WITNESS, gap, Hyperplane(*_bisector(p, p0)))
-        idx, v = hit
+        c, bar = _bisector(p, p0)
+        idx = _scan(pts, c, bar)
+        if idx is None:
+            return certificate(WITNESS, gap, Hyperplane(c, bar))
         try:
-            walk.add(p0, np.eye(1, pts.shape[0], idx)[0], v)
+            walk.add(p0, np.eye(1, pts.shape[0], idx)[0], pts[idx])
         except DegeneratePivotError:
             # a true pivot never equals the iterate, so this selection means
             # the remaining gap is float noise; the iterate is as good as done

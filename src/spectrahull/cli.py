@@ -268,8 +268,9 @@ def _add_common(sub, with_solve_flags: bool):
         sub.add_argument("--max-iters", type=_COUNT, default=None,
                          help="pivot-step budget (default 64/epsilon^2)")
         sub.add_argument("--start", choices=("rankone-e", "identity"), default="rankone-e")
-        sub.add_argument("--verify", type=_COUNT, default=None, metavar="SAMPLES")
-        sub.add_argument("--seed", type=_COUNT, default=0, help="seeds the --verify sampler")
+        sub.add_argument("--verify", type=_COUNT, nargs="?", const=0, metavar="IGNORED",
+                         help="append an audit block; a trailing count must not be "
+                         "negative and is ignored")
     else:
         sub.add_argument("--max-iters", type=_COUNT, default=200_000,
                          help="pivot-step budget per probe")
@@ -317,7 +318,7 @@ def _solve_and_report_shm(instance: ShmInstance, args, lines: list[str]):
     lines.extend(_point_lines(cert.point))
     code = _STATUS_EXIT[cert.kind]
     if args.verify is not None and cert.kind in (FEASIBLE, WITNESS):
-        report = verify_certificate(instance, cert, sample_count=args.verify, seed=args.seed)
+        report = verify_certificate(instance, cert)
         lines.append(
             f"verify {'passed' if report.passed else 'FAILED'} violations {report.violations}"
         )

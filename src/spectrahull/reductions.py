@@ -317,7 +317,7 @@ def solve_maxcut_relaxation(
 
     def probe(omega: float, gap_target: float):
         nonlocal warm
-        inst, cert = maxcut_feasibility_probe(mc, n * omega, gap_target, max_iters, start=warm)
+        _, cert = maxcut_feasibility_probe(mc, n * omega, gap_target, max_iters, start=warm)
         trace.append(
             ProbeRecord(n * omega, cert.kind, cert.gap, cert.iterations, cert.oracle_calls)
         )

@@ -216,7 +216,7 @@ def test_feasible_terms_reproduce_the_reported_gap(tmp_path, capsys):
 
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     path = write(tmp_path, "interval.shm", SHM_FILE)
-    args = ["solve", "--input", path, "--epsilon", "1e-4", "--seed", "7"]
+    args = ["solve", "--input", path, "--epsilon", "1e-4"]
     run(args)
     first = capsys.readouterr().out
     run(args)
@@ -234,10 +234,15 @@ def test_output_flag_mirrors_stdout(tmp_path, capsys):
 
 def test_verify_flag_appends_check_lines(tmp_path, capsys):
     path = write(tmp_path, "outside.shm", SHM_FILE.replace("b 2.0", "b 5.0"))
-    code = run(["solve", "--input", path, "--epsilon", "1e-6", "--verify", "100"])
-    out = capsys.readouterr().out
-    assert code == EXIT_WITNESS
-    assert report_value(out, "verify").startswith("passed")
+    # a bare --verify is the switch; a trailing count is accepted and ignored
+    reports = []
+    for flag in (["--verify"], ["--verify", "100"]):
+        code = run(["solve", "--input", path, "--epsilon", "1e-6", *flag])
+        out = capsys.readouterr().out
+        assert code == EXIT_WITNESS, flag
+        assert report_value(out, "verify").startswith("passed"), flag
+        reports.append(out)
+    assert reports[0] == reports[1]
 
 
 def test_chm_dispatch(tmp_path, capsys):
@@ -308,13 +313,14 @@ def test_usage_errors(tmp_path, capsys):
         ["solve", "--input", shm, "--epsilon", "1.5"],
         ["solve", "--input", shm, "--epsilon", "nan"],
         ["solve", "--input", witness, "--verify", "-5"],
-        ["solve", "--input", shm, "--seed", "-1", "--verify", "10"],
         ["solve", "--input", shm, "--max-iters", "-1"],
         ["maxcut", "--input", graph, "--epsilon", "inf"],
         ["maxcut", "--input", graph, "--epsilon", "nan"],
         ["maxcut", "--input", graph, "--epsilon", "0"],
         ["maxcut", "--input", graph, "--max-iters", "-1"],
         ["solve", "--input", shm, "--strict"],  # a retired flag
+        ["solve", "--input", shm, "--seed", "-1", "--verify", "10"],  # a retired flag
+        ["solve", "--input", shm, "--seed", "0"],  # a retired flag
     ]
     for argv in out_of_range:
         assert run(argv) == EXIT_USAGE, argv
@@ -348,7 +354,7 @@ def test_runs_in_one_process_do_not_leak_into_each_other(tmp_path, capsys):
     graph = write(tmp_path, "k2.graph", K2_FILE)
     assert run(["solve", "--input", shm]) == EXIT_OK
     first = capsys.readouterr().out
-    flags = ["--start", "identity", "--max-iters", "0", "--verify", "5", "--seed", "3"]
+    flags = ["--start", "identity", "--max-iters", "0", "--verify", "5"]
     assert run(["solve", "--input", shm, *flags]) == EXIT_OK
     assert "verify passed" in capsys.readouterr().out
     assert run(["solve", "--input", shm, "--epsilon", "2"]) == EXIT_USAGE

@@ -27,7 +27,7 @@ from spectrahull import (
     verify_certificate,
 )
 from spectrahull import shm
-from spectrahull.chm import NOISE_FLOOR, _bisector
+from spectrahull.chm import NOISE_FLOOR, Hyperplane, _bisector
 
 import helpers
 
@@ -304,7 +304,7 @@ def test_witness_at_large_finite_scale(scale):
     cert = solve_shm(inst, 1e-3)
     assert cert.kind == WITNESS
     assert cert.eig_margin > 0.0
-    assert verify_certificate(inst, cert, sample_count=200).passed
+    assert verify_certificate(inst, cert).passed
 
 
 def test_solve_ends_inconclusive_when_margin_within_bound(monkeypatch):
@@ -328,7 +328,7 @@ def test_strict_misses_reuse_their_work():
         cert = solve_shm(inst, 1e-4)
         assert cert.kind == WITNESS
         assert cert.eig_margin > 0.0
-        assert verify_certificate(inst, cert, sample_count=200).passed
+        assert verify_certificate(inst, cert).passed
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -594,7 +594,7 @@ def test_solves_share_no_mutable_state(monkeypatch):
 
 def test_verify_feasible_certificate():
     cert = solve_shm(interval_with(1.0), 1e-6)
-    report = verify_certificate(interval_with(1.0), cert, sample_count=500)
+    report = verify_certificate(interval_with(1.0), cert)
     assert report.passed
     assert report.violations == 0
     assert len(report.checks) > 0
@@ -603,7 +603,7 @@ def test_verify_feasible_certificate():
 def test_verify_witness_certificate():
     inst = interval_with(5.0)
     cert = solve_shm(inst, 1e-6)
-    report = verify_certificate(inst, cert, sample_count=2000, seed=3)
+    report = verify_certificate(inst, cert)
     assert report.passed
     assert report.violations == 0
 
@@ -612,7 +612,7 @@ def test_verify_flags_tampered_weights():
     inst = interval_with(1.0)
     cert = solve_shm(inst, 1e-6)
     object.__setattr__(cert.point, "weights", cert.point.weights * 0.9)
-    report = verify_certificate(inst, cert, sample_count=100)
+    report = verify_certificate(inst, cert)
     assert not report.passed
     assert report.violations >= 1
 
@@ -621,7 +621,7 @@ def test_verify_flags_shifted_hyperplane():
     inst = interval_with(5.0)
     cert = solve_shm(inst, 1e-6)
     cert.hyperplane = type(cert.hyperplane)(cert.hyperplane.normal, -2.0)
-    report = verify_certificate(inst, cert, sample_count=500)
+    report = verify_certificate(inst, cert)
     assert not report.passed
 
 
@@ -629,14 +629,36 @@ def test_verify_flags_tampered_margin():
     inst = interval_with(5.0)
     cert = solve_shm(inst, 1e-6, start=E1)
     assert cert.eig_margin == pytest.approx(2.0, abs=1e-9)
-    assert verify_certificate(inst, cert, sample_count=100).passed
+    assert verify_certificate(inst, cert).passed
     # lambda_min - bar is 2, so any stored margin above 4 overstates it
     for forged in (4.5, 20.0, 0.0, -1.0, None):
-        report = verify_certificate(
-            inst, dataclasses.replace(cert, eig_margin=forged), sample_count=100
-        )
+        report = verify_certificate(inst, dataclasses.replace(cert, eig_margin=forged))
         assert not report.passed, forged
         assert report.violations == 1, report.checks
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        # the plane still separates, but by a quarter of the stated margin
+        lambda hp, margin: (hp.normal, hp.offset + 0.75 * margin),
+        lambda hp, margin: (1.5 * hp.normal, hp.offset),
+    ],
+    ids=["offset-moved-toward-hull", "normal-scaled"],
+)
+def test_verify_checks_the_stated_hyperplane(forge):
+    """The audit proves the margin of the hyperplane the witness stores, not
+    of one rebuilt from its point: a forged plane fails the Cholesky check."""
+    inst = interval_with(5.0)
+    cert = solve_shm(inst, 1e-6, start=E3)
+    assert cert.hyperplane.offset == pytest.approx(-8.0)
+    assert cert.eig_margin == pytest.approx(2.0, abs=1e-9)
+    forged = Hyperplane(*forge(cert.hyperplane, cert.eig_margin))
+    assert forged.side(inst.b) < 0.0
+    report = verify_certificate(inst, dataclasses.replace(cert, hyperplane=forged))
+    assert not report.passed
+    assert report.violations == 1, report.checks
+    assert report.checks[-1].startswith("FAIL stored margin"), report.checks
 
 
 def test_verify_rejects_inconclusive():
@@ -666,7 +688,7 @@ def test_solver_certificates_are_sound(seed):
     cert = solve_shm(inst, 1e-4, max_iters=50_000)
     if cert.kind == INCONCLUSIVE:
         return
-    report = verify_certificate(inst, cert, sample_count=300, seed=1)
+    report = verify_certificate(inst, cert)
     assert report.passed, report.checks
 
 
@@ -707,6 +729,6 @@ def test_witness_fuzz_at_tolerance_depth(seed):
         _, a, bar = pivot_query(inst, image(inst, cert.point))
         lam, _, delta = certified_min_eig(a)
         assert lam - delta - bar > 0.0
-        report = verify_certificate(inst, cert, sample_count=200, seed=seed)
+        report = verify_certificate(inst, cert)
         assert report.passed, report.checks
     assert witnesses >= 1
