@@ -30,7 +30,6 @@ from .chm import (
     Hyperplane,
     PointSet,
     find_pivot,
-    solve_chm,
 )
 from .shm import (
     Certificate,
@@ -38,6 +37,7 @@ from .shm import (
     VerificationReport,
     pivot_oracle,
     prune_representation,
+    solve_chm,
     solve_shm,
     solve_shm_cached,
     verify_certificate,

@@ -1,14 +1,13 @@
-"""Hull membership over an explicit finite point set, and the walk every
-solver steps with.
+"""The walk every solver steps with, and the types of point-set membership.
 
 ``_Walk`` keeps a convex combination of at most m+1 atoms by their images
 in R^m, and its step moves to the point of the atoms' hull nearest the
 target (Wolfe's minor cycles), never farther from it than the segment step.
-``solve_chm`` walks over the coordinate vectors e_i of the set, the paper's
-diagonal embedding: each image is a point and ``w @ v`` are its
-coefficients.  Its pivot is the scan's argmin; when that misses the bar, the
-bisector of the iterate and the target separates the target from every
-point.  ``shm`` and ``svmsep`` walk over rank-one atoms.
+``shm`` and ``svmsep`` walk over rank-one atoms; ``shm.solve_chm`` walks
+over the coordinate vectors e_i of a ``PointSet``, the paper's diagonal
+embedding, on the same driver loop as ``solve_shm``.  This module also
+holds the point-set types, the hyperplane every Witness states, the bisector
+(a pivot bar and a witness plane) and ``find_pivot``, one step's scan.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "ChmCertificate",
     "Hyperplane",
     "find_pivot",
-    "solve_chm",
     "default_iteration_cap",
 ]
 
@@ -126,15 +124,6 @@ def _bisector(p: np.ndarray, q: np.ndarray):
     return normal, 0.5 * float(normal @ (p + q))
 
 
-def _scan(points: np.ndarray, direction: np.ndarray, threshold: float):
-    # greedy rule: take the linear minimizer, accept only if it clears the bar
-    scores = points @ direction
-    idx = int(np.argmin(scores))
-    if scores[idx] <= threshold:
-        return idx
-    return None
-
-
 def find_pivot(point_set: PointSet, p0, p_prime):
     """Greedy pivot search.
 
@@ -148,10 +137,12 @@ def find_pivot(point_set: PointSet, p0, p_prime):
     p0 = np.asarray(p0, dtype=float).reshape(-1)
     pp = np.asarray(p_prime, dtype=float).reshape(-1)
     c, threshold = _bisector(pp, p0)
-    idx = _scan(point_set.points, c, threshold)
-    if idx is None:
-        return None
-    return idx, point_set.points[idx].copy()
+    # greedy rule: take the linear minimizer, accept only if it clears the bar
+    scores = point_set.points @ c
+    idx = int(np.argmin(scores))
+    if scores[idx] <= threshold:
+        return idx, point_set.points[idx].copy()
+    return None
 
 
 def _ta_step(p0: np.ndarray, pp: np.ndarray, v: np.ndarray):
@@ -304,84 +295,3 @@ def _prune_arrays(m: int, w: np.ndarray, v: np.ndarray, ti: np.ndarray):
         keep = w > 1e-15
         w, v, ti = w[keep], v[keep], ti[keep]
         w = w / w.sum()
-
-
-def _query_distances(pts: np.ndarray, p0: np.ndarray) -> tuple[np.ndarray, float]:
-    """Distance from the query to every point, and the farthest one.
-    ValueError when that overflows, since a stopping rule scaled by it would
-    pass any gap."""
-    with np.errstate(over="ignore"):
-        dists = np.linalg.norm(pts - p0, axis=1)
-    radius = float(dists.max())
-    if not math.isfinite(radius):
-        raise ValueError("the farthest point's distance from the query overflows")
-    return dists, radius
-
-
-def solve_chm(
-    point_set: PointSet,
-    p0,
-    epsilon: float,
-    max_iters: int | None = None,
-) -> ChmCertificate:
-    """Decide membership of p0 in the hull of the set.
-
-    Parameters
-    ----------
-    point_set : PointSet
-        Candidate points spanning the hull.
-    p0 : array_like
-        Query point.
-    epsilon : float
-        Relative tolerance in (0, 1); feasibility means reaching within
-        ``epsilon * R`` of p0 where R is the exact farthest-point distance.
-    max_iters : int, optional
-        Step budget; defaults to the worst-case feasible-run cap.
-
-    Returns
-    -------
-    ChmCertificate
-        Feasible with reproducing coefficients, Witness with the bisecting
-        hyperplane, or Inconclusive when the budget runs out.
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if point_set.size == 0:
-        raise ValueError("empty point set")
-    p0 = np.asarray(p0, dtype=float).reshape(-1)
-    if p0.shape[0] != point_set.dim:
-        raise ValueError(f"query of dim {p0.shape[0]} against points of dim {point_set.dim}")
-    if not np.isfinite(p0).all():
-        raise ValueError("query must be finite")
-    if max_iters is None:
-        max_iters = default_iteration_cap(epsilon)
-    pts = point_set.points
-    dists, radius = _query_distances(pts, p0)
-    start = int(np.argmin(dists))
-    # the atoms are the coordinate vectors e_i, so w @ v are the coefficients
-    walk = _Walk(point_set.dim, np.ones(1), np.eye(1, pts.shape[0], start), pts[start : start + 1])
-    target = epsilon * radius + NOISE_FLOOR * (1.0 + float(np.linalg.norm(p0)))
-    iterations = 0
-
-    def certificate(kind, gap, hyperplane=None):
-        it = ChmIterate(walk.w @ walk.v, walk.image)
-        return ChmCertificate(kind, it, gap, radius, epsilon, iterations, hyperplane)
-
-    while True:
-        p = walk.image
-        gap = float(np.linalg.norm(p - p0))
-        if gap <= target:
-            return certificate(FEASIBLE, gap)
-        if iterations >= max_iters:
-            return certificate(INCONCLUSIVE, gap)
-        c, bar = _bisector(p, p0)
-        idx = _scan(pts, c, bar)
-        if idx is None:
-            return certificate(WITNESS, gap, Hyperplane(c, bar))
-        try:
-            walk.add(p0, np.eye(1, pts.shape[0], idx)[0], pts[idx])
-        except DegeneratePivotError:
-            # a true pivot never equals the iterate, so this selection means
-            # the remaining gap is float noise; the iterate is as good as done
-            return certificate(FEASIBLE, gap)
-        iterations += 1

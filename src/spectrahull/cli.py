@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chm import FEASIBLE, INCONCLUSIVE, WITNESS, PointSet, _query_distances, solve_chm
+from .chm import FEASIBLE, INCONCLUSIVE, WITNESS, PointSet
 from .reductions import (
     MaxCutInstance,
     RecessionDirectionError,
@@ -33,7 +33,7 @@ from .reductions import (
     reduce_sdp_to_shm,
     solve_maxcut_relaxation,
 )
-from .shm import solve_shm, verify_certificate
+from .shm import _query_distances, solve_chm, solve_shm, verify_certificate
 from .svmsep import SEPARATED, solve_separation
 from .symcore import ShmInstance, SymmetricMatrix
 

@@ -34,6 +34,8 @@ __all__ = [
     "solve_maxcut_relaxation",
 ]
 
+MIN_CORNER_WEIGHT = 1e-10  # see SdpReduction.recover
+
 
 class RecessionDirectionError(RuntimeError):
     """Raised when a solution concentrates in the homogenizing corner.
@@ -92,20 +94,20 @@ class SdpReduction:
     membership: ShmInstance
     degenerate_rhs: bool
 
-    def recover(self, point: SpectraplexPoint, min_alpha: float = 1e-10):
+    def recover(self, point: SpectraplexPoint):
         """Undo the embedding: return (X, alpha) with X from the leading block.
 
-        ``alpha`` is the corner weight; below ``min_alpha`` the scale division
-        is untrustworthy and RecessionDirectionError is raised.
+        ``alpha`` is the corner weight; at or below ``MIN_CORNER_WEIGHT`` the
+        scale division is untrustworthy and RecessionDirectionError is raised.
         """
         n = self.membership.n - 1
         if point.n != n + 1:
             raise ValueError("point order does not match the reduction")
         dense = point.dense()
         alpha = float(dense[n, n])
-        if alpha <= min_alpha:
+        if alpha <= MIN_CORNER_WEIGHT:
             raise RecessionDirectionError(
-                f"corner weight {alpha:.3e} is at or below {min_alpha:.3e}; "
+                f"corner weight {alpha:.3e} is at or below {MIN_CORNER_WEIGHT:.3e}; "
                 "the certificate describes a recession direction, not a finite solution"
             )
         return dense[:n, :n] / alpha, alpha

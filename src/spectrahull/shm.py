@@ -1,8 +1,11 @@
-"""Membership of a target vector in the image of the spectraplex.
+"""Membership of a target vector in the image of the spectraplex, and in
+the hull of a finite point set, on one driver loop.
 
-The solver runs the Triangle Algorithm as if solving a convex hull
-membership problem over rank-one points, with one pivot policy and the walk
-``chm`` runs over a point set (``chm._Walk``).  The iterate is a convex
+``_run`` is the Triangle Algorithm's only membership loop.  ``solve_shm``
+runs it as if solving a convex hull membership problem over rank-one points,
+with one pivot policy and the walk of ``chm._Walk``; ``solve_chm`` runs it
+over the coordinate vectors of a point set, the paper's diagonal case, with
+an exact scan as its pivot query (``_PointWalk``).  The iterate is a convex
 combination of at most m+1 rank-one atoms v v^T.  Each step of ``_Iterate``,
 which the separation driver also takes with a moving target, assembles the
 residual-weighted pivot matrix, asks one LAPACK eigendecomposition for a
@@ -13,13 +16,12 @@ decomposition).  A result leaves the walk through ``_factor`` (which
 ``prune_representation`` shares): at most n atoms are kept as the factors,
 more are folded into the eigenvectors of their sum by one
 eigendecomposition, and affine elimination then leaves at most min(m+1, n)
-terms (the semidefinite Caratheodory bound).  Absence of a pivot is
-certified by a smallest eigenvalue that clears the pivot bar by more than
-its rigorous error bound, and converts directly into a separating-hyperplane
-witness; an eigenvalue within its error bound of the bar ends the run
-inconclusive.  ``verify_certificate`` audits a certificate by what it
-states: a Witness by its stored hyperplane and margin, with one Cholesky
-factorisation.
+terms (the semidefinite Caratheodory bound).  Absence of a pivot is certified
+by a smallest eigenvalue that clears the pivot bar by more than its rigorous
+error bound, and converts directly into a separating-hyperplane witness; an
+eigenvalue within its error bound of the bar ends the run inconclusive.
+``verify_certificate`` audits a certificate by what it states: a Witness by
+its stored hyperplane and margin, with one Cholesky factorisation.
 """
 
 from __future__ import annotations
@@ -36,8 +38,11 @@ from .chm import (
     INCONCLUSIVE,
     NOISE_FLOOR,
     WITNESS,
+    ChmCertificate,
+    ChmIterate,
     DegeneratePivotError,
     Hyperplane,
+    PointSet,
     _bisector,
     _prune_arrays,
     _Walk,
@@ -53,9 +58,10 @@ from .symcore import (
     rank_one_image,
 )
 
-# not called here (every pivot comes from one eigendecomposition), but
-# perfbench --trace 1 wraps these names in this module; the placeholder
-# stands in for the retired power probe until ROADMAP item 2 removes it
+# not called here (every pivot comes from one eigendecomposition or from the
+# point walk's own scan), but perfbench --trace 1 wraps these names in this
+# module; the placeholder stands in for the retired power probe until
+# ROADMAP item 2 removes it
 from .chm import find_pivot  # noqa: F401
 min_eig_power = None
 
@@ -66,6 +72,7 @@ __all__ = [
     "VerificationReport",
     "pivot_oracle",
     "prune_representation",
+    "solve_chm",
     "solve_shm",
     "solve_shm_cached",
     "verify_certificate",
@@ -94,7 +101,9 @@ class PivotOutcome:
     is at or below the bar ``threshold`` and ``vector`` is the matching unit
     eigenvector.  ``found=False`` carries ``lambda_min`` above the bar and
     its rigorous ``error_bound``; absence is ``certified`` only when
-    ``margin``, ``lambda_min - error_bound - threshold``, is positive.
+    ``margin``, ``lambda_min - error_bound - threshold``, is positive.  A
+    point walk's scan (``_PointWalk.step``) states its answer in the same
+    fields: the smallest score over the points and a zero error bound.
     """
 
     found: bool
@@ -281,15 +290,21 @@ def prune_representation(instance: ShmInstance, point: SpectraplexPoint) -> Spec
     return out if out.num_terms < point.num_terms else point
 
 
-def _run(instance, epsilon, max_iters, start):
+def _budget(epsilon: float, max_iters: int | None) -> int:
+    """The step budget of a run, after checking its tolerance, which every
+    solver checks before its other arguments."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if max_iters is None:
-        max_iters = default_iteration_cap(epsilon)
-    stats = SolveStats()
-    it = _Iterate(instance, start, stats)
-    b = instance.b
-    radius = instance.radius_bound
+    return default_iteration_cap(epsilon) if max_iters is None else max_iters
+
+
+def _run(walk, b, radius, epsilon, max_iters) -> Certificate:
+    """The membership loop of every solver: step ``walk`` toward ``b`` until
+    its image is within ``epsilon * radius``, a step proves that no pivot
+    exists, or ``max_iters`` steps are taken.  The walk's ``step(target)``
+    returns a ``PivotOutcome`` and the normal of its bar, ``snapshot()`` the
+    certificate's point and that point's image; ``stats`` counts queries."""
+    stats = walk.stats
     target_gap = epsilon * radius + NOISE_FLOOR * (1.0 + math.sqrt(b @ b))
     iterations = 0
 
@@ -304,22 +319,22 @@ def _run(instance, epsilon, max_iters, start):
         )
 
     while True:
-        gap = gap_of(it.image)
+        gap = gap_of(walk.image)
         if gap <= target_gap:
-            pt, img = it.snapshot()
+            pt, img = walk.snapshot()
             exact_gap = gap_of(img)
             if exact_gap <= target_gap:
                 return certificate(FEASIBLE, pt, exact_gap)
             # factoring moved the image out of the ball: keep walking
         if iterations >= max_iters:
-            return certificate(INCONCLUSIVE, it.snapshot()[0], gap)
+            return certificate(INCONCLUSIVE, walk.snapshot()[0], gap)
         try:
-            out, resid = it.step(b)
+            out, resid = walk.step(b)
         except DegeneratePivotError:
             # a true pivot never shares the iterate's image; reaching here
             # means the residual is float noise and the point is as good as
             # done, provided its factors still land in the ball
-            pt, img = it.snapshot()
+            pt, img = walk.snapshot()
             exact_gap = gap_of(img)
             return certificate(
                 FEASIBLE if exact_gap <= target_gap else INCONCLUSIVE, pt, exact_gap
@@ -329,11 +344,11 @@ def _run(instance, epsilon, max_iters, start):
         elif out.certified:
             hp = Hyperplane(resid.copy(), out.threshold)
             return certificate(
-                WITNESS, it.snapshot()[0], gap, hyperplane=hp, eig_margin=out.margin
+                WITNESS, walk.snapshot()[0], gap, hyperplane=hp, eig_margin=out.margin
             )
         else:
             # no pivot, but the bar lies within the eigenvalue error bound
-            return certificate(INCONCLUSIVE, it.snapshot()[0], gap)
+            return certificate(INCONCLUSIVE, walk.snapshot()[0], gap)
 
 
 def solve_shm(
@@ -362,7 +377,96 @@ def solve_shm(
         ``rankone-e`` (uniform rank-one), ``identity`` (maximally mixed), or
         an explicit warm-start point.
     """
-    return _run(instance, epsilon, max_iters, start)
+    max_iters = _budget(epsilon, max_iters)
+    walk = _Iterate(instance, start, SolveStats())
+    return _run(walk, instance.b, instance.radius_bound, epsilon, max_iters)
+
+
+class _PointWalk(_Walk):
+    """The walk over the coordinate vectors e_i of a point set from e_start:
+    atom images are points, so ``w @ v`` are the coefficients.  A step takes
+    the exact argmin of the bar's normal over the points; when that misses
+    the bar, the bisector of iterate and target separates target and points."""
+
+    def __init__(self, points: np.ndarray, start: int):
+        self.points = points
+        self.stats = SolveStats()
+        e = np.eye(1, points.shape[0], start)
+        super().__init__(points.shape[1], np.ones(1), e, points[start : start + 1])
+
+    def step(self, target):
+        """One scan against ``target``, then as ``_Iterate.step``."""
+        c, bar = _bisector(self.image, target)
+        scores = self.points @ c
+        idx = int(scores.argmin())
+        score = float(scores[idx])
+        self.stats.oracle_calls += 1
+        out = PivotOutcome(score <= bar, None, score, bar, 0.0)
+        if out.found:
+            e = np.zeros(self.points.shape[0])
+            e[idx] = 1.0
+            self.add(target, e, self.points[idx])
+        return out, c
+
+    def snapshot(self) -> tuple[ChmIterate, np.ndarray]:
+        return ChmIterate(self.w @ self.v, self.image), self.image
+
+
+def _query_distances(pts: np.ndarray, p0: np.ndarray) -> tuple[np.ndarray, float]:
+    """Distance from the query to every point, and the farthest one.
+    ValueError when that overflows, since a stopping rule scaled by it would
+    pass any gap."""
+    with np.errstate(over="ignore"):
+        dists = np.linalg.norm(pts - p0, axis=1)
+    radius = float(dists.max())
+    if not math.isfinite(radius):
+        raise ValueError("the farthest point's distance from the query overflows")
+    return dists, radius
+
+
+def solve_chm(
+    point_set: PointSet,
+    p0,
+    epsilon: float,
+    max_iters: int | None = None,
+) -> ChmCertificate:
+    """Decide membership of p0 in the hull of the set.
+
+    ``solve_shm``'s driver loop walks from the point nearest p0, with the
+    scan's argmin as its pivot (see ``_PointWalk``).
+
+    Parameters
+    ----------
+    point_set : PointSet
+        Candidate points spanning the hull.
+    p0 : array_like
+        Query point.
+    epsilon : float
+        Relative tolerance in (0, 1); feasibility means reaching within
+        ``epsilon * R`` of p0 where R is the exact farthest-point distance.
+    max_iters : int, optional
+        Step budget; defaults to the worst-case feasible-run cap.
+
+    Returns
+    -------
+    ChmCertificate
+        Feasible with reproducing coefficients, Witness with the bisecting
+        hyperplane, or Inconclusive when the budget runs out.
+    """
+    max_iters = _budget(epsilon, max_iters)
+    if point_set.size == 0:
+        raise ValueError("empty point set")
+    p0 = np.asarray(p0, dtype=float).reshape(-1)
+    if p0.shape[0] != point_set.dim:
+        raise ValueError(f"query of dim {p0.shape[0]} against points of dim {point_set.dim}")
+    if not np.isfinite(p0).all():
+        raise ValueError("query must be finite")
+    dists, radius = _query_distances(point_set.points, p0)
+    walk = _PointWalk(point_set.points, int(dists.argmin()))
+    cert = _run(walk, p0, radius, epsilon, max_iters)
+    return ChmCertificate(
+        cert.kind, cert.point, cert.gap, radius, epsilon, cert.iterations, cert.hyperplane
+    )
 
 
 # a second name, which perfbench's shm-cached workload calls

@@ -17,14 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chm import (
-    INCONCLUSIVE,
-    DegeneratePivotError,
-    Hyperplane,
-    _bisector,
-    default_iteration_cap,
-)
-from .shm import SolveStats, _Iterate
+from .chm import INCONCLUSIVE, DegeneratePivotError, Hyperplane, _bisector
+from .shm import SolveStats, _budget, _Iterate
 from .symcore import ShmInstance, SpectraplexPoint
 
 # not called here (the kernel runs in shm's step engine), but perfbench
@@ -104,10 +98,7 @@ def solve_separation(
     inst_r = _coerce_side(right, "right")
     if inst_l.m != inst_r.m:
         raise ValueError("sides must share the image dimension")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if max_iters is None:
-        max_iters = default_iteration_cap(epsilon)
+    max_iters = _budget(epsilon, max_iters)
     stats = SolveStats()
     sides = (_Iterate(inst_l, "rankone-e", stats), _Iterate(inst_r, "rankone-e", stats))
     scale = max(inst_l.radius_bound, inst_r.radius_bound)

@@ -116,22 +116,6 @@ class SymmetricMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def frob(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
-    @classmethod
-    def diag(cls, values) -> "SymmetricMatrix":
-        return cls(np.diag(np.asarray(values, dtype=float)))
-
-    @classmethod
-    def identity(cls, n: int) -> "SymmetricMatrix":
-        return cls(np.eye(n))
-
-    @classmethod
-    def zeros(cls, n: int) -> "SymmetricMatrix":
-        return cls(np.zeros((n, n)))
-
 
 @dataclass(frozen=True)
 class SpectraplexPoint:

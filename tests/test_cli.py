@@ -257,6 +257,53 @@ def test_chm_dispatch(tmp_path, capsys):
     assert "hyperplane-normal" in out
 
 
+PENTAGON_CHM = """\
+chm
+m 2
+N 5
+p0 {p0}
+0 0
+2 0.5
+1 2
+-1 1
+0.5 -1
+"""
+
+# every line of a chm report, pinned: a Feasible query two steps in and a
+# Witness one step in
+PENTAGON_REPORTS = (
+    ("0.3 0.2", EXIT_OK, """\
+kind chm
+status Feasible
+epsilon 0.01
+radius 1.9313207915827966
+gap 1.1443916996305594e-16
+iterations 2
+point 0.3000000000000001 0.20000000000000004
+coeffs 0.81428571428571428 0.11428571428571432 0.071428571428571438 0 0
+"""),
+    ("2.5 2", EXIT_WITNESS, """\
+kind chm
+status Witness
+epsilon 0.01
+radius 3.640054944640259
+gap 1.2480754415067654
+iterations 1
+hyperplane-offset -3.2019230769230766
+hyperplane-normal -1.0384615384615383 -0.69230769230769229
+point 1.4615384615384617 1.3076923076923077
+coeffs 0 0.46153846153846156 0.53846153846153844 0 0
+"""),
+)
+
+
+@pytest.mark.parametrize("p0, code, report", PENTAGON_REPORTS)
+def test_chm_report_is_pinned(tmp_path, capsys, p0, code, report):
+    path = write(tmp_path, "pentagon.chm", PENTAGON_CHM.format(p0=p0))
+    assert run(["solve", "--input", path]) == code
+    assert capsys.readouterr().out == report
+
+
 def test_sdp_dispatch_recovers_solution(tmp_path, capsys):
     path = write(tmp_path, "tiny.sdp", SDP_FILE)
     code = run(["solve", "--input", path, "--epsilon", "1e-6"])

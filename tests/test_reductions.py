@@ -123,7 +123,8 @@ def test_feasible_embedding_round_trips(seed):
     eps = 1e-5
     cert = solve_shm(red.membership, eps, max_iters=300_000)
     assert cert.kind == FEASIBLE
-    x, alpha = red.recover(cert.point, min_alpha=1e-6)
+    x, alpha = red.recover(cert.point)
+    assert alpha > 1e-6
     bound = 10.0 * eps * red.membership.radius_bound / alpha
     for a, b_i in zip(sdp.mats, sdp.rhs):
         assert abs(float(np.vdot(a.entries, x)) - b_i) <= bound
