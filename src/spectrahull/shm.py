@@ -8,10 +8,11 @@ over the coordinate vectors of a point set, the paper's diagonal case, with
 an exact scan as its pivot query (``_PointWalk``).  The iterate is a convex
 combination of at most m+1 rank-one atoms v v^T.  Each step of ``_Iterate``,
 which the separation driver also takes with a moving target, assembles the
-residual-weighted pivot matrix, asks one LAPACK eigendecomposition for a
-direction whose quadratic form clears the pivot bar, and hands it to the
-walk, which adds it as an atom and moves to the point of the atoms' hull
-nearest the target.  This is a fully corrective walk (simplicial
+residual-weighted pivot matrix, asks LAPACK for a direction whose
+quadratic form clears the pivot bar (from order 16 up the lowest eigenpair
+alone, otherwise or failing that one full eigendecomposition), and hands it
+to the walk, which adds it as an atom and moves to the point of the atoms'
+hull nearest the target.  This is a fully corrective walk (simplicial
 decomposition).  A result leaves the walk through ``_factor`` (which
 ``prune_representation`` shares): at most n atoms are kept as the factors,
 more are folded into the eigenvectors of their sum by one
@@ -48,7 +49,7 @@ from .chm import (
     _Walk,
     default_iteration_cap,
 )
-from .eigen import certified_min_eig
+from .eigen import _lowest_pair_below, certified_min_eig
 from .symcore import (
     ShmInstance,
     SpectraplexPoint,
@@ -96,14 +97,17 @@ def _pivot_matrix(instance: ShmInstance, resid: np.ndarray) -> SymmetricMatrix:
 class PivotOutcome:
     """Either a usable pivot direction or the evidence that none exists.
 
-    Both come from one LAPACK eigendecomposition (``method``, always
-    ``"jacobi"``).  ``found`` means its smallest eigenvalue ``lambda_min``
-    is at or below the bar ``threshold`` and ``vector`` is the matching unit
-    eigenvector.  ``found=False`` carries ``lambda_min`` above the bar and
-    its rigorous ``error_bound``; absence is ``certified`` only when
-    ``margin``, ``lambda_min - error_bound - threshold``, is positive.  A
-    point walk's scan (``_PointWalk.step``) states its answer in the same
-    fields: the smallest score over the points and a zero error bound.
+    Both come from LAPACK (``method``, always ``"jacobi"``).  ``found``
+    means the smallest eigenvalue ``lambda_min`` is at or below the bar
+    ``threshold`` and ``vector`` is the matching unit eigenvector; from
+    order 16 up it usually comes from the lowest eigenpair alone
+    (``lowest_pair``), whose recomputed quadratic form is also at or below
+    the bar.  ``found=False`` always comes from the full decomposition and
+    carries ``lambda_min`` above the bar and its rigorous ``error_bound``;
+    absence is ``certified`` only when ``margin``,
+    ``lambda_min - error_bound - threshold``, is positive.  A point walk's
+    scan (``_PointWalk.step``) states its answer in the same fields: the
+    smallest score over the points and a zero error bound.
     """
 
     found: bool
@@ -111,6 +115,7 @@ class PivotOutcome:
     lambda_min: float
     threshold: float
     error_bound: float = math.inf  # no bound known: never certified
+    lowest_pair: bool = False  # answered by dsyevr's lowest pair, not eigh
 
     # perfbench's trace counts this label; ROADMAP item 2 renames it
     method = "jacobi"
@@ -128,16 +133,23 @@ class PivotOutcome:
 
 def pivot_oracle(matrix: SymmetricMatrix, threshold: float) -> PivotOutcome:
     """Search the spectraplex for a direction whose quadratic form under the
-    pivot matrix is at or below the bar ``threshold``, with one LAPACK
-    eigendecomposition (``method="jacobi"``).
+    pivot matrix is at or below the bar ``threshold`` (``method="jacobi"``).
 
     The pivot is the eigenvector of the smallest eigenvalue, which minimises
     the quadratic form over the spectraplex: whenever any direction clears a
-    bar, this one does, the paper's tighter bar included.  Only a
+    bar, this one does, the paper's tighter bar included.  From order 16 up
+    the query first asks ``dsyevr`` for that eigenpair alone and answers
+    with it when it is found (``lowest_pair``; see
+    ``eigen._lowest_pair_below``).  Otherwise, and at every smaller order,
+    one full ``eigh`` answers, as ``certified_min_eig``; so a query that
+    finds no pivot at order 16 or more makes two LAPACK calls.  Only a
     ``found=False`` outcome pays for the eigenvalue error bound; it is
     ``certified`` when the smallest eigenvalue clears the bar by more than
     that bound.
     """
+    pair = _lowest_pair_below(matrix, threshold)
+    if pair is not None:
+        return PivotOutcome(True, pair[1], pair[0], threshold, lowest_pair=True)
     lam, vec, delta = certified_min_eig(matrix, threshold)
     if lam <= threshold:
         return PivotOutcome(True, vec, lam, threshold)
@@ -147,9 +159,15 @@ def pivot_oracle(matrix: SymmetricMatrix, threshold: float) -> PivotOutcome:
 
 @dataclass
 class SolveStats:
-    """Pivot-query tallies of one run."""
+    """Pivot-query tallies of one run: every query, the queries answered by
+    the lowest eigenpair alone, and the queries that took a full ``eigh``
+    (every query below order 16; above it, each that found no pivot or
+    whose lowest pair was rejected).  A point walk's scans count only as
+    queries."""
 
     oracle_calls: int = 0
+    lowest_pair_answers: int = 0
+    full_decompositions: int = 0
 
 
 @dataclass
@@ -190,8 +208,8 @@ class _Iterate(_Walk):
     The constructor resolves the start (``rankone-e``, ``identity`` or an
     explicit point), whose factors become the first atoms; a start with more
     than one term has its atoms' images made affinely independent by
-    ``_prune_arrays``.  A step asks one eigendecomposition for a pivot and,
-    when it finds one, adds it to the walk.  Only ``snapshot`` builds a
+    ``_prune_arrays``.  A step asks ``pivot_oracle`` for a pivot and, when
+    it finds one, adds it to the walk.  Only ``snapshot`` builds a
     point from the atoms, and it needs an eigendecomposition only when there
     are more than n.
     """
@@ -225,6 +243,10 @@ class _Iterate(_Walk):
         resid, threshold = _bisector(self.image, target)
         out = pivot_oracle(_pivot_matrix(self.instance, resid), threshold)
         self.stats.oracle_calls += 1
+        if out.lowest_pair:
+            self.stats.lowest_pair_answers += 1
+        else:
+            self.stats.full_decompositions += 1
         if out.found:
             self.add(target, out.vector, rank_one_image(self.instance, out.vector))
         return out, resid

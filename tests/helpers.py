@@ -140,3 +140,24 @@ def bounded_feasible_sdp(rng, n_max=6, m_max=4):
 def random_unit_vectors(rng, count, n):
     v = rng.standard_normal((count, n))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def spectral_case(rng, n, m, inside, depth=0.5):
+    """m symmetric Gaussian matrices of order n and a target whose verdict
+    follows from its construction: the image of a unit-trace PSD matrix
+    mixing I/n with a random few-term point, or a point at least ``depth``
+    past the supporting hyperplane lambda_max(sum_k d_k A_k) of the image
+    set in a random unit direction d."""
+    g = rng.standard_normal((m, n, n))
+    stack = 0.5 * (g + np.transpose(g, (0, 2, 1)))
+    terms = int(rng.integers(1, n + 1))
+    v = random_unit_vectors(rng, terms, n)
+    tau = rng.uniform(0.5, 1.0)
+    x = (1.0 - tau) * np.eye(n) / n + tau * (v.T * rng.dirichlet(np.ones(terms))) @ v
+    c = np.einsum("kij,ij->k", stack, x)
+    if not inside:
+        d = rng.standard_normal(m)
+        d /= np.linalg.norm(d)
+        support = float(np.linalg.eigvalsh(np.tensordot(d, stack, axes=1))[-1])
+        c = c + (support - float(d @ c) + depth) * d
+    return tuple(stack), c

@@ -343,6 +343,59 @@ def test_cached_and_plain_verdicts_never_contradict(seed):
         assert cert.kind == (FEASIBLE if inside else WITNESS)
 
 
+def test_found_queries_take_the_lowest_pair_and_a_witness_ends_on_eigh(monkeypatch):
+    """At order 32 every query of a Feasible solve is answered by the lowest
+    eigenpair alone; a Witness solve's last query, which finds no pivot,
+    asks for the lowest pair and then takes the full eigh that certifies."""
+    if spectrahull.eigen._dsyevr() is None:
+        pytest.skip("numpy's LAPACK exports no dsyevr")
+    calls = []
+    real_eigen = spectrahull.eigen.jacobi_eigen
+
+    def recording(a, lowest=None):
+        calls.append(lowest)
+        return real_eigen(a, lowest=lowest)
+
+    monkeypatch.setattr(spectrahull.eigen, "jacobi_eigen", recording)
+    rng = np.random.default_rng(4)
+    for inside in (True, False):
+        calls.clear()
+        cert = solve_shm(ShmInstance(*helpers.spectral_case(rng, 32, 10, inside)), 1e-5)
+        stats = cert.stats
+        assert cert.kind == (FEASIBLE if inside else WITNESS)
+        assert cert.iterations > 1
+        assert stats.lowest_pair_answers + stats.full_decompositions == cert.oracle_calls
+        if inside:
+            assert stats.lowest_pair_answers == cert.oracle_calls
+            assert calls == [1] * cert.oracle_calls
+        else:
+            assert stats.full_decompositions >= 1
+            assert calls[-2:] == [1, None]
+
+
+def test_lowest_pair_route_keeps_every_walk(monkeypatch):
+    """A seeded corpus at n=32, m=10 with planted and outside targets,
+    solved with the lowest-pair route and with it forced off, gives the
+    same verdicts, iterations and oracle calls, and every certificate
+    passes the audit."""
+    rng = np.random.default_rng(1)
+    corpus = [
+        ShmInstance(*helpers.spectral_case(rng, 32, 10, inside))
+        for inside in [True] * 16 + [False] * 8
+    ]
+    available = spectrahull.eigen._dsyevr() is not None
+    on = [solve_shm(inst, 1e-5) for inst in corpus]
+    monkeypatch.setattr(spectrahull.eigen, "_dsyevr", lambda: None)
+    off = [solve_shm(inst, 1e-5) for inst in corpus]
+    assert [c.kind for c in on] == [FEASIBLE] * 16 + [WITNESS] * 8
+    assert (sum(c.stats.lowest_pair_answers for c in on) > 0) == available
+    for inst, a, b in zip(corpus, on, off):
+        assert (a.kind, a.iterations, a.oracle_calls) == (b.kind, b.iterations, b.oracle_calls)
+        assert b.stats.lowest_pair_answers == 0
+        assert verify_certificate(inst, a).passed
+        assert verify_certificate(inst, b).passed
+
+
 # ---------------------------------------------------------------------- prune
 
 
