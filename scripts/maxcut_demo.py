@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Run the cut-value relaxation on a complete or random graph.
 
-Prints the probe trace (probe level, verdict, iterations, eigen calls),
-the final relaxation value with its bracket, and the cut upper bound the
-value implies.  Each probe moves the bracket to the bound its certificate
-proves, so the levels do not halve: after the first witness the next probe
-sits just above the proven lower end.  Unit-weight complete graphs anchor at
-exactly -n, attained with every off-diagonal at -1/(n-1), so K2 and K3 are
-quick sanity checks at -2 and -3.
+Prints the probe trace (probe level, verdict, iterations, eigen calls, the
+lower bound a witness proves and the value the probe's point attains once
+rescaled to a unit diagonal), the final relaxation value with its bracket,
+and the cut upper bound the value implies.  Each probe moves the bracket to
+the bounds its certificate proves, so the levels do not halve: after a
+witness raises the lower end the next probe sits at it, and the nearest
+point found there attains close to the minimum.  Unit-weight complete graphs
+anchor at exactly -n, attained with every off-diagonal at -1/(n-1), so K2
+and K3 are quick sanity checks at -2 and -3.
 """
 
 import argparse
@@ -55,9 +57,12 @@ def main(argv=None):
     print(f"graph: n={mc.n}, total weight {mc.weights.sum() / 2.0:g}")
     res = solve_maxcut_relaxation(mc, epsilon=cfg.epsilon, max_iters=cfg.max_iters)
 
-    print(f"{'probe w':>14} {'verdict':>12} {'iters':>8} {'eig calls':>10}")
+    print(f"{'probe w':>14} {'verdict':>12} {'iters':>8} {'eig calls':>10}"
+          f" {'floor':>14} {'attained':>14}")
     for rec in res.trace:
-        print(f"{rec.w:14.6f} {rec.kind:>12} {rec.iterations:8d} {rec.oracle_calls:10d}")
+        ends = ["-" if v is None else f"{v:.6f}" for v in (rec.floor, rec.attained)]
+        print(f"{rec.w:14.6f} {rec.kind:>12} {rec.iterations:8d} {rec.oracle_calls:10d}"
+              f" {ends[0]:>14} {ends[1]:>14}")
     print(f"status {res.status} (width retries: {res.widened})")
     print(f"relaxation value {res.value:.6f} in [{res.lower:.6f}, {res.upper:.6f}]")
     print(f"implied cut upper bound {mc.cut_upper_bound(res.value):.6f}")

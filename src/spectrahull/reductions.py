@@ -5,9 +5,9 @@ with a free trace into one order higher, homogenizing the right-hand side
 into a corner entry so the target becomes the origin.  The combinatorial one
 drives the membership solver as a feasibility probe inside a search over the
 objective value of the cut relaxation, where each probe's certificate moves
-the bracket to the bound it proves: a witness's separating hyperplane gives
-a spectral lower bound, and a feasible point rescaled to a unit diagonal
-gives an upper bound that it attains.
+the bracket to the bounds it proves: a witness's separating hyperplane gives
+a spectral lower bound, and the probe's point, of either verdict, rescaled
+to a unit diagonal gives an upper bound that it attains.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chm import INCONCLUSIVE, WITNESS
+from .chm import FEASIBLE, INCONCLUSIVE, WITNESS
 from .symcore import ShmInstance, SpectraplexPoint, SymmetricMatrix, _squares_fit, _symmetrize
 from .shm import solve_shm
 
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 MIN_CORNER_WEIGHT = 1e-10  # see SdpReduction.recover
+FLOOR_RETRIES, RETRY_CUT = 3, 0.25  # see solve_maxcut_relaxation
 
 
 class RecessionDirectionError(RuntimeError):
@@ -211,24 +212,33 @@ def maxcut_feasibility_probe(
 
 @dataclass(frozen=True)
 class ProbeRecord:
+    """One probe of the search, in the scale of <W, Y>.
+
+    ``floor`` is the lower bound a witness proves (its spectral floor rounded
+    down onto the bracket's grid, or its level if higher); ``attained`` is
+    the value of the probe's point rescaled to a unit diagonal, rounded up
+    onto the grid.  Each is None where the probe has none.
+    """
+
     w: float
     kind: str
     gap: float
     iterations: int
     oracle_calls: int
+    floor: float | None = None
+    attained: float | None = None
 
 
 @dataclass
 class MaxCutResult:
     """Bracket on the minimum of <W, Y> over unit-diagonal PSD Y.
 
-    ``lower`` follows from a witness's certified eigenvalue floor, or is the
-    level of the probe that gave the witness, or the starting bound
-    -n ||W||.  ``upper`` is attained by ``matrix`` (a unit-diagonal PSD
-    matrix rescaled from a probe's point) unless the rescaled point missed
-    its probe level and would not close the bracket, in which case it is
-    that level and ``matrix`` is n times the probe's point.  ``value`` is
-    the lower end.
+    Both ends are proven bounds.  ``lower`` is the highest floor a witness
+    proved: its certified eigenvalue floor, or the level of the probe that
+    gave it, or the starting bound -n ||W||.  ``upper`` is the least value a
+    probe's point attained once rescaled to a unit diagonal, or 0, and
+    ``matrix``, a unit-diagonal PSD matrix, attains it.  ``value`` is the
+    lower end.
     """
 
     value: float
@@ -285,21 +295,23 @@ def solve_maxcut_relaxation(
     """Bracket the relaxation value to within epsilon using membership probes.
 
     Works in trace-one scale omega = <W, X>: the identity certifies omega = 0
-    feasible and Cauchy-Schwarz bounds the minimum by the negated Frobenius
-    norm, where the first probe sits.  Each probe moves the bracket to the
-    bound its own certificate proves.  A witness raises the lower end to its
-    spectral floor (see ``_witness_floor``), at least the probe level.  A
-    feasible point, rescaled to an exactly unit diagonal, lowers the upper
-    end to the value it attains when that is at most the probe level or
-    still closes the bracket; otherwise the upper end falls to the probe
-    level, within the probe tolerance of the relaxation.  Both ends are
-    rounded outward onto a grid of spacing epsilon / (8 n) anchored at the
-    starting bound, so the rounding-level differences that relabelling the
-    vertices makes in the certificates do not move the bracket.  After a
-    bound moves, the next probe sits half the stopping width above the lower
-    end, where a feasible answer closes the bracket; a witness there is
-    followed by a plain halving.  An inconclusive probe gets one widened
-    retry before the run aborts with the partial bracket.
+    attained and Cauchy-Schwarz bounds the minimum by the negated Frobenius
+    norm, where the first probe sits.  Every probe's certificate moves the
+    bracket to the bounds it proves.  Its point, of any verdict, rescaled to
+    an exactly unit diagonal, lowers the upper end to the value it attains.
+    A witness also raises the lower end to its spectral floor (see
+    ``_witness_floor``), at least the probe level.  Both ends are rounded
+    outward onto a grid of spacing epsilon / (8 n) anchored at the starting
+    bound, so the rounding-level differences that relabelling the vertices
+    makes in the certificates do not move the bracket.  After a witness that
+    raised the floor the next probe sits at the floor, where the nearest
+    point of the relaxation attains a value close to the minimum; otherwise
+    the next probe bisects between the floor and the lower of the upper end
+    and the lowest feasible level.  A feasible answer at the floor that does
+    not close the bracket is asked again with the tolerance cut by
+    ``RETRY_CUT``, which holds until the floor moves; after ``FLOOR_RETRIES``
+    such retries, or when an inconclusive probe's widened retry is
+    inconclusive too, the run aborts with the partial bracket.
     """
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError("epsilon must be finite and positive")
@@ -318,64 +330,52 @@ def solve_maxcut_relaxation(
     warm = "rankone-e"
 
     def probe(omega: float, gap_target: float):
-        nonlocal warm
+        """Run one probe and move the bracket ends its certificate bounds."""
+        nonlocal warm, lo, hi, best_y
         _, cert = maxcut_feasibility_probe(mc, n * omega, gap_target, max_iters, start=warm)
-        trace.append(
-            ProbeRecord(n * omega, cert.kind, cert.gap, cert.iterations, cert.oracle_calls)
-        )
         # any iterate transfers between probes: the target moves, the set
         # does not, so the next probe resumes instead of restarting
         warm = cert.point
-        return cert
-
-    def settle(omega: float, cert) -> None:
-        """Move the bracket end that the probe's certificate bounds."""
-        nonlocal lo, hi, best_y
+        floor = attained = None
         if cert.kind == WITNESS:
-            floor = _witness_floor(cert, n, norm_w)
-            if floor is not None:
-                floor = -norm_w + spacing * math.floor((floor + norm_w) / spacing)
-                omega = max(omega, floor)
-            # a probe-level upper end can sit up to the probe tolerance
-            # below the minimum, and so below a proven floor
-            lo = min(omega, hi)
-            return
-        y = n * cert.point.dense()
-        unit = _unit_diagonal(y)
+            bound = _witness_floor(cert, n, norm_w)
+            floor = omega
+            if bound is not None:
+                floor = max(floor, -norm_w + spacing * math.floor((bound + norm_w) / spacing))
+            lo = max(lo, min(floor, hi))
+        unit = _unit_diagonal(n * cert.point.dense())
         if unit is not None:
-            attained = float(np.vdot(mc.weights, unit))
-            top = -norm_w + spacing * math.ceil((attained / n + norm_w) / spacing)
-            # below the level, or above it but still closing the bracket
-            if top < hi and (attained <= n * omega or top - lo <= stop_width):
+            value = float(np.vdot(mc.weights, unit))
+            attained = -norm_w + spacing * math.ceil((value / n + norm_w) / spacing)
+            if attained < hi:
                 # mixing in the identity (<W, I> = 0) lifts the attained
                 # value onto the grid point above it
-                keep = n * top / attained
-                hi, best_y = top, keep * unit + (1.0 - keep) * identity_y
+                keep = n * attained / value
+                hi, best_y = attained, keep * unit + (1.0 - keep) * identity_y
                 np.fill_diagonal(best_y, 1.0)
-                return
-        hi, best_y = omega, y
+        trace.append(ProbeRecord(
+            n * omega, cert.kind, cert.gap, cert.iterations, cert.oracle_calls,
+            None if floor is None else n * floor, None if attained is None else n * attained,
+        ))
+        return cert
 
-    cert = probe(lo, abs_gap)
-    if cert.kind == INCONCLUSIVE:
-        cert = probe(lo, 10.0 * abs_gap)
-        widened += 1
-        if cert.kind != WITNESS:
-            return MaxCutResult(
-                n * lo, best_y, n * lo, n * hi, epsilon, "aborted", tuple(trace), widened
-            )
-    settle(lo, cert)
-    guess = True
-    while hi - lo > stop_width:
-        mid = 0.5 * (lo + hi)
-        omega = min(lo + 0.5 * stop_width, mid) if guess else mid
-        cert = probe(omega, abs_gap)
+    feasible_level = hi  # the lowest level a probe answered feasible
+    at_floor, retries = True, 0
+    while hi - lo > stop_width and retries <= FLOOR_RETRIES:
+        top = min(hi, feasible_level) if feasible_level > lo else hi
+        omega, below = (lo if at_floor else 0.5 * (lo + top)), lo
+        gap = abs_gap * RETRY_CUT**retries
+        cert = probe(omega, gap)
         if cert.kind == INCONCLUSIVE:
-            cert = probe(omega, 10.0 * abs_gap)
+            cert = probe(omega, 10.0 * gap)
             widened += 1
         if cert.kind == INCONCLUSIVE:
-            return MaxCutResult(
-                n * lo, best_y, n * lo, n * hi, epsilon, "aborted", tuple(trace), widened
-            )
-        settle(omega, cert)
-        guess = not (guess and cert.kind == WITNESS)
-    return MaxCutResult(n * lo, best_y, n * lo, n * hi, epsilon, "converged", tuple(trace), widened)
+            break
+        if cert.kind == FEASIBLE:
+            feasible_level = min(feasible_level, omega)
+        # a witness that raised the floor is followed by a probe there, and
+        # a feasible answer at the floor by a retry with a tighter tolerance
+        at_floor = lo > below or (cert.kind == FEASIBLE and omega == lo)
+        retries = 0 if lo > below else retries + at_floor
+    status = "converged" if hi - lo <= stop_width else "aborted"
+    return MaxCutResult(n * lo, best_y, n * lo, n * hi, epsilon, status, tuple(trace), widened)

@@ -261,48 +261,94 @@ def _closed_form(name):
     return -2.0 * len(edges)
 
 
-def _check_certified_bracket(mc, res, closed, epsilon):
-    assert res.converged
+def _check_attained(mc, res):
+    """``matrix`` is PSD with a unit diagonal and attains ``upper``, the least
+    value a probe attained; ``lower`` is the best witness floor."""
     w, y = mc.weights, res.matrix
-    assert res.lower <= closed + 1e-12 * (1.0 + abs(closed))
-    assert res.upper - res.lower <= epsilon + 1e-12
     assert float(np.abs(y - y.T).max()) <= 1e-12 * float(np.abs(y).max())
     assert float(np.linalg.eigvalsh(y)[0]) >= -1e-12 * mc.n
-    value = float(np.vdot(w, y))
-    if abs(value - res.upper) <= 1e-9 * abs(res.upper):
-        # the upper end is attained by a unit-diagonal matrix, so it is a
-        # proven bound on the minimum
-        assert float(np.abs(np.diag(y) - 1.0).max()) <= 1e-12
-        assert closed <= res.upper + 1e-12 * (1.0 + abs(closed))
-        return True
-    # otherwise the upper end is the level of a feasible probe, and Y is n
-    # times that probe's point: within the probe tolerance of the level
-    assert res.upper in {rec.w for rec in res.trace if rec.kind == FEASIBLE}
-    dev = np.append(np.diag(y) - 1.0, value - res.upper)
-    assert float(np.linalg.norm(dev)) <= epsilon * (1.0 + 1e-9)
-    assert closed <= res.upper + epsilon * (1.0 + abs(closed))
-    return False
+    assert float(np.abs(np.diag(y) - 1.0).max()) <= 1e-12
+    assert abs(float(np.vdot(w, y)) - res.upper) <= 1e-9 * abs(res.upper)
+    assert res.lower == max(rec.floor for rec in res.trace if rec.floor is not None)
+    assert res.upper == min(rec.attained for rec in res.trace if rec.attained is not None)
+
+
+def _check_certified_bracket(mc, res, closed, epsilon):
+    """A converged bracket of proven ends that contains the closed form."""
+    assert res.converged
+    tol = 1e-12 * (1.0 + abs(closed))
+    assert res.lower <= closed + tol, (res.lower, closed)
+    assert closed <= res.upper + tol, (res.upper, closed)
+    assert res.upper - res.lower <= epsilon + 1e-12
+    _check_attained(mc, res)
 
 
 @pytest.mark.parametrize("epsilon", [1e-2, 1e-3])
 def test_relaxation_bracket_is_certified(epsilon):
-    """The lower end is a proven bound, the upper end is attained (or is a
-    feasible probe's level), and a few probes suffice."""
+    """The lower end is a proven bound, the upper end is attained, and a few
+    probes suffice.  K3 at both tolerances, K2,3 at 1e-3 and K2,1 at 1e-2
+    once gave brackets wholly below the optimum, closed by a feasible probe
+    level up to the probe tolerance under it."""
     rng = np.random.default_rng(5)
-    attained = 0
     for wt in rng.uniform(0.1, 10.0, size=4):
         mc = MaxCutInstance.from_edges(2, [(0, 1, float(wt))])
         res = solve_maxcut_relaxation(mc, epsilon=epsilon)
-        attained += _check_certified_bracket(mc, res, -2.0 * wt, epsilon)
-        assert len(res.trace) <= 3, (wt, len(res.trace))
-    for name in ["K3", "K4", "C4", "C5", "C6", "K2,3"]:
+        _check_certified_bracket(mc, res, -2.0 * wt, epsilon)
+        assert len(res.trace) <= 2, (wt, len(res.trace))
+    for name in ["K3", "K4", "C4", "C5", "C6", "K2,3", "K2,1"]:
         n, edges = _graph_edges(name)
         mc = MaxCutInstance.from_edges(n, [(i, j, 1.0) for i, j in edges])
         res = solve_maxcut_relaxation(mc, epsilon=epsilon)
-        attained += _check_certified_bracket(mc, res, _closed_form(name), epsilon)
-        assert len(res.trace) <= (8 if epsilon == 1e-2 else 12), (name, len(res.trace))
-    # the two-vertex graphs, C4 and C6 close on an attained upper end
-    assert attained >= 7
+        _check_certified_bracket(mc, res, _closed_form(name), epsilon)
+        assert len(res.trace) <= (6 if epsilon == 1e-2 else 7), (name, len(res.trace))
+
+
+@pytest.mark.parametrize("name", ["C5", "C7"])
+def test_odd_cycle_brackets_contain_the_optimum_under_relabelling(name):
+    n, edges = _graph_edges(name)
+    rng = np.random.default_rng(3)
+    for _ in range(8):
+        p = rng.permutation(n)
+        mc = MaxCutInstance.from_edges(n, [(p[i], p[j], 1.0) for i, j in edges])
+        res = solve_maxcut_relaxation(mc, epsilon=1e-2)
+        _check_certified_bracket(mc, res, _closed_form(name), 1e-2)
+
+
+def test_inconclusive_probes_abort_with_a_sound_bracket():
+    # one step per probe: the widened retry at the first floor is still
+    # inconclusive, and the run ends with what the earlier probes proved
+    n, edges = _graph_edges("K3")
+    mc = MaxCutInstance.from_edges(n, [(i, j, 1.0) for i, j in edges])
+    res = solve_maxcut_relaxation(mc, epsilon=1e-2, max_iters=1)
+    assert res.status == "aborted"
+    assert [rec.kind for rec in res.trace[-2:]] == [INCONCLUSIVE, INCONCLUSIVE]
+    assert res.lower <= -3.0 <= res.upper
+    assert res.upper - res.lower > 1e-2
+    _check_attained(mc, res)
+
+
+def test_floor_retries_run_out_with_a_sound_bracket(monkeypatch):
+    """A feasible answer at the floor that leaves the bracket open is retried
+    with a tighter tolerance; with no retries allowed the run aborts there,
+    and its bracket still overlaps the converged one."""
+    rng = np.random.default_rng(0)
+    edges = [
+        (i, j, float(rng.uniform(0.1, 1.0)))
+        for i in range(12) for j in range(i + 1, 12) if rng.uniform() < 0.4
+    ]
+    mc = MaxCutInstance.from_edges(12, edges)
+    full = solve_maxcut_relaxation(mc, epsilon=1e-3)
+    assert full.converged
+    assert any(
+        a.kind == FEASIBLE and a.w == b.w for a, b in zip(full.trace, full.trace[1:])
+    ), "no feasible probe at the floor was retried"
+    _check_attained(mc, full)
+    monkeypatch.setattr(reductions, "FLOOR_RETRIES", 0)
+    res = solve_maxcut_relaxation(mc, epsilon=1e-3)
+    assert res.status == "aborted"
+    assert res.trace[-1].kind == FEASIBLE and res.trace[-1].w == res.lower
+    assert res.lower <= full.upper and full.lower <= res.upper
+    _check_attained(mc, res)
 
 
 @pytest.mark.parametrize("name", ["K2", "K3", "C5", "K2,3"])
