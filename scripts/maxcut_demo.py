@@ -13,31 +13,21 @@ and K3 are quick sanity checks at -2 and -3.
 """
 
 import argparse
-from dataclasses import dataclass
 
 import numpy as np
 
 from spectrahull import MaxCutInstance, solve_maxcut_relaxation
 
 
-@dataclass
-class DemoConfig:
-    n: int = 3
-    density: float = 1.0
-    epsilon: float = 1e-3
-    seed: int = 0
-    max_iters: int = 50_000
-
-
-def build_graph(cfg: DemoConfig) -> MaxCutInstance:
-    rng = np.random.default_rng(cfg.seed)
+def build_graph(n: int, density: float, seed: int) -> MaxCutInstance:
+    rng = np.random.default_rng(seed)
     edges = []
-    for i in range(cfg.n):
-        for j in range(i + 1, cfg.n):
-            if cfg.density >= 1.0 or rng.uniform() < cfg.density:
-                w = 1.0 if cfg.density >= 1.0 else float(rng.uniform(0.1, 1.0))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if density >= 1.0 or rng.uniform() < density:
+                w = 1.0 if density >= 1.0 else float(rng.uniform(0.1, 1.0))
                 edges.append((i, j, w))
-    return MaxCutInstance.from_edges(cfg.n, edges)
+    return MaxCutInstance.from_edges(n, edges)
 
 
 def main(argv=None):
@@ -51,11 +41,10 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0, help="draws the random graph")
     ap.add_argument("--max-iters", type=int, default=50_000)
     a = ap.parse_args(argv)
-    cfg = DemoConfig(a.n, a.density, a.epsilon, a.seed, a.max_iters)
 
-    mc = build_graph(cfg)
+    mc = build_graph(a.n, a.density, a.seed)
     print(f"graph: n={mc.n}, total weight {mc.weights.sum() / 2.0:g}")
-    res = solve_maxcut_relaxation(mc, epsilon=cfg.epsilon, max_iters=cfg.max_iters)
+    res = solve_maxcut_relaxation(mc, epsilon=a.epsilon, max_iters=a.max_iters)
 
     print(f"{'probe w':>14} {'verdict':>12} {'iters':>8} {'eig calls':>10}"
           f" {'floor':>14} {'attained':>14}")

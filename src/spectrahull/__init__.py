@@ -24,8 +24,6 @@ from .chm import (
     FEASIBLE,
     INCONCLUSIVE,
     WITNESS,
-    ChmCertificate,
-    ChmIterate,
     DegeneratePivotError,
     Hyperplane,
     PointSet,
@@ -56,7 +54,6 @@ from .svmsep import (
     INTERSECTING,
     SEPARATED,
     PairCertificate,
-    PairIterate,
     solve_separation,
 )
 
@@ -64,8 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Certificate",
-    "ChmCertificate",
-    "ChmIterate",
     "DegeneratePivotError",
     "DimensionError",
     "FEASIBLE",
@@ -75,7 +70,6 @@ __all__ = [
     "MaxCutInstance",
     "MaxCutResult",
     "PairCertificate",
-    "PairIterate",
     "PivotOutcome",
     "PointSet",
     "RecessionDirectionError",

@@ -5,9 +5,10 @@ in R^m, and its step moves to the point of the atoms' hull nearest the
 target (Wolfe's minor cycles), never farther from it than the segment step.
 ``shm`` and ``svmsep`` walk over rank-one atoms; ``shm.solve_chm`` walks
 over the coordinate vectors e_i of a ``PointSet``, the paper's diagonal
-embedding, on the same driver loop as ``solve_shm``.  This module also
-holds the point-set types, the hyperplane every Witness states, the bisector
-(a pivot bar and a witness plane) and ``find_pivot``, one step's scan.
+embedding, on the same driver loop as ``solve_shm``, and answers with the
+same certificate.  This module also holds the point-set type, the hyperplane
+every Witness states, the bisector (a pivot bar and a witness plane) and
+``find_pivot``, one step's scan.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ __all__ = [
     "INCONCLUSIVE",
     "DegeneratePivotError",
     "PointSet",
-    "ChmIterate",
-    "ChmCertificate",
     "Hyperplane",
     "find_pivot",
     "default_iteration_cap",
@@ -85,31 +84,6 @@ class Hyperplane:
     def side(self, x) -> float:
         """Signed value normal . x - offset."""
         return float(self.normal @ np.asarray(x, dtype=float)) - self.offset
-
-
-@dataclass(frozen=True)
-class ChmIterate:
-    """Convex coefficients over the set together with the point they encode."""
-
-    coeffs: np.ndarray
-    current: np.ndarray
-
-    def __post_init__(self):
-        for name in ("coeffs", "current"):
-            a = np.array(getattr(self, name), dtype=float).reshape(-1)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-
-
-@dataclass(frozen=True)
-class ChmCertificate:
-    kind: str
-    iterate: ChmIterate
-    gap: float
-    radius: float
-    epsilon: float
-    iterations: int
-    hyperplane: Hyperplane | None = None
 
 
 def default_iteration_cap(epsilon: float) -> int:

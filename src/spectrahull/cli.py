@@ -353,14 +353,14 @@ def _run_chm(payload, args, lines: list[str]) -> int:
     cert = solve_chm(point_set, target, args.epsilon, args.max_iters)
     lines.append(f"status {cert.kind.capitalize()}")
     lines.append(f"epsilon {_fmt(cert.epsilon)}")
-    lines.append(f"radius {_fmt(cert.radius)}")
+    lines.append(f"radius {_fmt(cert.radius_bound)}")
     lines.append(f"gap {_fmt(cert.gap)}")
     lines.append(f"iterations {cert.iterations}")
     if cert.kind == WITNESS:
         lines.append(f"hyperplane-offset {_fmt(cert.hyperplane.offset)}")
         lines.append(f"hyperplane-normal {_vec(cert.hyperplane.normal)}")
-    lines.append(f"point {_vec(cert.iterate.current)}")
-    lines.append(f"coeffs {_vec(cert.iterate.coeffs)}")
+    lines.append(f"point {_vec(cert.image)}")
+    lines.append(f"coeffs {_vec(cert.point.weights @ cert.point.vectors)}")
     if args.verify is not None:
         lines.append("verify skipped (only shm and sdp problems support it)")
     return _STATUS_EXIT[cert.kind]
@@ -372,7 +372,7 @@ def _run_svm(payload, args, lines: list[str]) -> int:
     lines.append(f"status {cert.kind.capitalize()}")
     lines.append(f"epsilon {_fmt(cert.epsilon)}")
     lines.append(f"scale {_fmt(cert.scale)}")
-    lines.append(f"gap {_fmt(cert.pair.gap)}")
+    lines.append(f"gap {_fmt(cert.gap)}")
     lines.append(f"iterations {cert.iterations}")
     lines.append(f"oracle-calls {cert.oracle_calls}")
     if cert.kind == SEPARATED:

@@ -5,15 +5,16 @@ the hull of a finite point set, on one driver loop.
 runs it as if solving a convex hull membership problem over rank-one points,
 with one pivot policy and the walk of ``chm._Walk``; ``solve_chm`` runs it
 over the coordinate vectors of a point set, the paper's diagonal case, with
-an exact scan as its pivot query (``_PointWalk``).  The iterate is a convex
-combination of at most m+1 rank-one atoms v v^T.  Each step of ``_Iterate``,
-which the separation driver also takes with a moving target, assembles the
-residual-weighted pivot matrix, asks LAPACK for a direction whose
-quadratic form clears the pivot bar (from order 16 up the lowest eigenpair
-alone, otherwise or failing that one full eigendecomposition), and hands it
-to the walk, which adds it as an atom and moves to the point of the atoms'
-hull nearest the target.  This is a fully corrective walk (simplicial
-decomposition).  A result leaves the walk through ``_factor`` (which
+an exact scan as its pivot query (``_PointWalk``).  Both answer with one
+``Certificate``, a chm answer being that of the diagonal embedding.  The
+iterate is a convex combination of at most m+1 rank-one atoms v v^T.  Each
+step of ``_Iterate``, which the separation driver also takes with a moving
+target, assembles the residual-weighted pivot matrix, asks LAPACK for a
+direction whose quadratic form clears the pivot bar (from order 16 up the
+lowest eigenpair alone, otherwise or failing that one full
+eigendecomposition), and hands it to the walk, which adds it as an atom and
+moves to the point of the atoms' hull nearest the target.  This is a fully
+corrective walk (simplicial decomposition).  A result leaves the walk through ``_factor`` (which
 ``prune_representation`` shares): at most n atoms are kept as the factors,
 more are folded into the eigenvectors of their sum by one
 eigendecomposition, and affine elimination then leaves at most min(m+1, n)
@@ -39,8 +40,6 @@ from .chm import (
     INCONCLUSIVE,
     NOISE_FLOOR,
     WITNESS,
-    ChmCertificate,
-    ChmIterate,
     DegeneratePivotError,
     Hyperplane,
     PointSet,
@@ -172,18 +171,30 @@ class SolveStats:
 
 @dataclass
 class Certificate:
-    """Outcome of a membership run.
+    """Outcome of a membership run, from ``solve_shm`` and ``solve_chm``
+    alike.
 
     Feasible carries a representation whose image lands within the tolerance
     ball; Witness carries the bisecting hyperplane plus the certified margin
     by which no pivot exists, the eigenvalue error bound already taken off;
     Inconclusive only reports how far the run got, either because the budget
     ran out or because the smallest eigenvalue cleared the bar by less than
-    its error bound.
+    its error bound.  ``image`` is the image of ``point``, and
+    ``radius_bound`` the R that scales the tolerance ball.
+
+    A ``solve_chm`` certificate is the certificate of the paper's diagonal
+    embedding, the instance whose k-th matrix is the diagonal of the points'
+    k-th coordinates: ``point`` is of order N, the number of points, and its
+    factors are coordinate vectors, so ``point.weights @ point.vectors`` are
+    the coefficients over the points and ``image`` is the hull point they
+    reach.  Read that point through its factors; ``dense()`` would build an
+    N-by-N matrix.  Its ``radius_bound`` is the exact farthest distance from
+    the query, and a Witness's ``eig_margin`` the exact scan slack.
     """
 
     kind: str
     point: SpectraplexPoint
+    image: np.ndarray
     gap: float
     epsilon: float
     radius_bound: float
@@ -267,7 +278,9 @@ def _spectral_factors(instance: ShmInstance, dense: np.ndarray):
     """
     from .eigen import jacobi_eigen  # resolved per call, where perfbench's trace wraps it
 
-    vals, vecs = jacobi_eigen(SymmetricMatrix(dense))
+    # a spectraplex point's entries are finite and at most 1 in size:
+    # symmetrize, skip the checks
+    vals, vecs = jacobi_eigen(SymmetricMatrix._symmetrized(dense))
     vals = np.clip(vals, 0.0, None)
     keep = vals > TERM_DROP_EPS
     vals = vals[keep]
@@ -334,43 +347,43 @@ def _run(walk, b, radius, epsilon, max_iters) -> Certificate:
         d = img - b
         return math.sqrt(d @ d)
 
-    def certificate(kind, point, gap, **extra):
+    def certificate(kind, snap, gap, **extra):
         return Certificate(
-            kind, point, gap, epsilon, radius, iterations, stats.oracle_calls,
+            kind, *snap, gap, epsilon, radius, iterations, stats.oracle_calls,
             stats=stats, **extra,
         )
 
     while True:
         gap = gap_of(walk.image)
         if gap <= target_gap:
-            pt, img = walk.snapshot()
-            exact_gap = gap_of(img)
+            snap = walk.snapshot()
+            exact_gap = gap_of(snap[1])
             if exact_gap <= target_gap:
-                return certificate(FEASIBLE, pt, exact_gap)
+                return certificate(FEASIBLE, snap, exact_gap)
             # factoring moved the image out of the ball: keep walking
         if iterations >= max_iters:
-            return certificate(INCONCLUSIVE, walk.snapshot()[0], gap)
+            return certificate(INCONCLUSIVE, walk.snapshot(), gap)
         try:
             out, resid = walk.step(b)
         except DegeneratePivotError:
             # a true pivot never shares the iterate's image; reaching here
             # means the residual is float noise and the point is as good as
             # done, provided its factors still land in the ball
-            pt, img = walk.snapshot()
-            exact_gap = gap_of(img)
+            snap = walk.snapshot()
+            exact_gap = gap_of(snap[1])
             return certificate(
-                FEASIBLE if exact_gap <= target_gap else INCONCLUSIVE, pt, exact_gap
+                FEASIBLE if exact_gap <= target_gap else INCONCLUSIVE, snap, exact_gap
             )
         if out.found:
             iterations += 1
         elif out.certified:
             hp = Hyperplane(resid.copy(), out.threshold)
             return certificate(
-                WITNESS, walk.snapshot()[0], gap, hyperplane=hp, eig_margin=out.margin
+                WITNESS, walk.snapshot(), gap, hyperplane=hp, eig_margin=out.margin
             )
         else:
             # no pivot, but the bar lies within the eigenvalue error bound
-            return certificate(INCONCLUSIVE, walk.snapshot()[0], gap)
+            return certificate(INCONCLUSIVE, walk.snapshot(), gap)
 
 
 def solve_shm(
@@ -430,8 +443,11 @@ class _PointWalk(_Walk):
             self.add(target, e, self.points[idx])
         return out, c
 
-    def snapshot(self) -> tuple[ChmIterate, np.ndarray]:
-        return ChmIterate(self.w @ self.v, self.image), self.image
+    def snapshot(self) -> tuple[SpectraplexPoint, np.ndarray]:
+        """The atoms as a point of order N, the number of points: its factors
+        are coordinate vectors, so ``weights @ vectors`` are the coefficients
+        over the points, and its image is the walk's."""
+        return SpectraplexPoint(self.w, self.v), self.image
 
 
 def _query_distances(pts: np.ndarray, p0: np.ndarray) -> tuple[np.ndarray, float]:
@@ -451,7 +467,7 @@ def solve_chm(
     p0,
     epsilon: float,
     max_iters: int | None = None,
-) -> ChmCertificate:
+) -> Certificate:
     """Decide membership of p0 in the hull of the set.
 
     ``solve_shm``'s driver loop walks from the point nearest p0, with the
@@ -471,9 +487,11 @@ def solve_chm(
 
     Returns
     -------
-    ChmCertificate
-        Feasible with reproducing coefficients, Witness with the bisecting
-        hyperplane, or Inconclusive when the budget runs out.
+    Certificate
+        The diagonal embedding's certificate (see ``Certificate``): Feasible
+        with a point whose coordinate weights reproduce the hull point,
+        Witness with the bisecting hyperplane, or Inconclusive when the
+        budget runs out.
     """
     max_iters = _budget(epsilon, max_iters)
     if point_set.size == 0:
@@ -485,10 +503,7 @@ def solve_chm(
         raise ValueError("query must be finite")
     dists, radius = _query_distances(point_set.points, p0)
     walk = _PointWalk(point_set.points, int(dists.argmin()))
-    cert = _run(walk, p0, radius, epsilon, max_iters)
-    return ChmCertificate(
-        cert.kind, cert.point, cert.gap, radius, epsilon, cert.iterations, cert.hyperplane
-    )
+    return _run(walk, p0, radius, epsilon, max_iters)
 
 
 # a second name, which perfbench's shm-cached workload calls

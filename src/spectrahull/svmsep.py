@@ -29,7 +29,6 @@ __all__ = [
     "INTERSECTING",
     "SEPARATED",
     "PairCertificate",
-    "PairIterate",
     "solve_separation",
 ]
 
@@ -37,28 +36,23 @@ INTERSECTING = "intersecting"
 SEPARATED = "separated"
 
 
-@dataclass(frozen=True)
-class PairIterate:
-    """Snapshot of the two chasing representations and their image distance."""
-
-    left: SpectraplexPoint
-    right: SpectraplexPoint
-    gap: float
-
-
 @dataclass
 class PairCertificate:
     """Outcome of a separation run.
 
-    Separated carries the bisector of the final connecting segment, with the
-    left hull strictly below the offset and the right hull strictly above,
-    plus each side's certified eigenvalue margin, error bound taken off.
-    Intersecting carries a pair of representations whose images agree within
-    tolerance.
+    ``left`` and ``right`` are the two sides' points, each factored to at
+    most min(m+1, n) terms, and ``gap`` is the distance between the two
+    sides' walk images.  Separated carries the bisector of the final
+    connecting segment, with the left hull strictly below the offset and the
+    right hull strictly above, plus each side's certified eigenvalue margin,
+    error bound taken off.  Intersecting carries a pair of points whose
+    images agree within tolerance.
     """
 
     kind: str
-    pair: PairIterate
+    left: SpectraplexPoint
+    right: SpectraplexPoint
+    gap: float
     epsilon: float
     scale: float
     iterations: int
@@ -107,9 +101,9 @@ def solve_separation(
     last_success = 0
 
     def certificate(kind: str, gap: float, **extra) -> PairCertificate:
-        pair = PairIterate(sides[0].snapshot()[0], sides[1].snapshot()[0], gap)
         return PairCertificate(
-            kind, pair, epsilon, scale, iterations, stats.oracle_calls, stats=stats, **extra
+            kind, sides[0].snapshot()[0], sides[1].snapshot()[0], gap, epsilon, scale,
+            iterations, stats.oracle_calls, stats=stats, **extra,
         )
 
     while True:

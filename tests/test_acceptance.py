@@ -143,6 +143,8 @@ def test_c02_diagonal_family_matches_point_solver(corpus):
         chm = rec.extra["chm"]
         assert rec.cert.kind in (FEASIBLE, WITNESS), rec.label
         assert rec.cert.kind == chm.kind, rec.label
+        # the point solver's certificate is the diagonal instance's own
+        assert verify_certificate(rec.instance, chm).passed, rec.label
         if rec.cert.kind == FEASIBLE:
             bound = 1e-3 * rec.instance.radius_bound
             assert abs(rec.cert.gap - chm.gap) <= bound, rec.label
@@ -276,7 +278,7 @@ def test_c08_pair_separation_and_intersection():
 
     overlap = solve_separation((np.diag([1.0, 3.0]),), (np.diag([2.0, 5.0]),), 1e-4)
     assert overlap.kind == INTERSECTING
-    assert overlap.pair.gap <= 1e-4 * overlap.scale
+    assert overlap.gap <= 1e-4 * overlap.scale
 
 
 def test_c09_iteration_budgets_and_cache_parity(corpus):

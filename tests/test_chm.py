@@ -158,7 +158,7 @@ def test_nearest_weights_reach_the_origin_through_a_new_row():
 def test_solve_chm_segment_witness():
     cert = solve_chm(SEGMENT, np.array([0.0, 0.0]), 1e-3)
     assert cert.kind == WITNESS
-    assert np.allclose(cert.iterate.current, [0.5, 0.5])
+    assert np.allclose(cert.image, [0.5, 0.5])
     delta = np.sqrt(0.5)
     # the walk's weights come from a linear solve, (0.5, 0.49999999999999994)
     # here, so the gap may fall below delta by a few ulps
@@ -174,7 +174,7 @@ def test_solve_chm_segment_witness():
 
 def test_solve_chm_witness_distance_dominance():
     cert = solve_chm(SEGMENT, np.array([0.0, 0.0]), 1e-3)
-    p = cert.iterate.current
+    p = cert.image
     for q in SEGMENT.points:
         assert np.linalg.norm(p - q) < np.linalg.norm(q)
 
@@ -183,11 +183,11 @@ def test_solve_chm_triangle_feasible():
     p0 = np.array([0.25, 0.25])
     cert = solve_chm(TRIANGLE, p0, 1e-3)
     assert cert.kind == FEASIBLE
-    assert cert.gap <= 1e-3 * cert.radius
-    coeffs = cert.iterate.coeffs
+    assert cert.gap <= 1e-3 * cert.radius_bound
+    coeffs = cert.point.weights @ cert.point.vectors
     assert coeffs.min() >= 0.0
     assert coeffs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(coeffs @ TRIANGLE.points, cert.iterate.current, atol=1e-12)
+    assert np.allclose(coeffs @ TRIANGLE.points, cert.image, atol=1e-12)
 
 
 def test_solve_chm_singleton():
@@ -269,16 +269,16 @@ def test_solver_verdicts_are_certified(seed):
         p0 = rng.standard_normal(dim) * 3.0
     cert = solve_chm(pts, p0, 1e-4)
     if cert.kind == FEASIBLE:
-        assert cert.gap <= 1e-4 * cert.radius + 1e-15
-        coeffs = cert.iterate.coeffs
+        assert cert.gap <= 1e-4 * cert.radius_bound + 1e-15
+        coeffs = cert.point.weights @ cert.point.vectors
         assert coeffs.min() >= 0.0
         assert coeffs.sum() == pytest.approx(1.0, abs=1e-12)
         scale = 1.0 + float(np.abs(pts.points).max())
-        assert np.abs(coeffs @ pts.points - cert.iterate.current).max() <= 1e-12 * scale
+        assert np.abs(coeffs @ pts.points - cert.image).max() <= 1e-12 * scale
         # Caratheodory: the walk keeps at most dim+1 atoms
         assert np.count_nonzero(coeffs > 0.0) <= dim + 1
     elif cert.kind == WITNESS:
-        p = cert.iterate.current
+        p = cert.image
         for q in pts.points:
             assert np.linalg.norm(p - q) < np.linalg.norm(p0 - q) + 1e-12
         assert cert.hyperplane.side(p0) < 0.0

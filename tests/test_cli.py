@@ -304,6 +304,63 @@ def test_chm_report_is_pinned(tmp_path, capsys, p0, code, report):
     assert capsys.readouterr().out == report
 
 
+# every line of an svm report, pinned: two m=2 pairs, one Separated after a
+# step and one Intersecting
+SVM_PAIR = """\
+svm
+left
+n 2
+m 2
+A 1
+1 0
+0 3
+A 2
+0 1
+1 0
+right
+n 2
+m 2
+A 1
+{right1}
+A 2
+{right2}
+"""
+
+SVM_REPORTS = (
+    ("3.5 0\n0 7", "2 1\n1 -2", EXIT_WITNESS, """\
+kind svm
+status Separated
+epsilon 0.01
+scale 10.988515581417644
+gap 1.8027756377319952
+iterations 1
+oracle-calls 4
+left-margin 0.82222436226799367
+right-margin 1.070752358492892
+hyperplane-offset 5.6250000000000009
+hyperplane-normal 1.5000000000000004 1.0000000000000002
+"""),
+    ("2 0\n0 5", "1 0\n0 -1", EXIT_OK, """\
+kind svm
+status Intersecting
+epsilon 0.01
+scale 6.7993783695075987
+gap 0.063191514449472769
+iterations 7
+oracle-calls 11
+"""),
+)
+
+
+@pytest.mark.parametrize(
+    "right1, right2, code, report", SVM_REPORTS, ids=["separated", "intersecting"]
+)
+def test_svm_report_is_pinned(tmp_path, capsys, right1, right2, code, report):
+    path = write(tmp_path, "pair.svm", SVM_PAIR.format(right1=right1, right2=right2))
+    assert run(["solve", "--input", path]) == code
+    assert capsys.readouterr().out == report
+
+
 def test_sdp_dispatch_recovers_solution(tmp_path, capsys):
     path = write(tmp_path, "tiny.sdp", SDP_FILE)
     code = run(["solve", "--input", path, "--epsilon", "1e-6"])

@@ -526,12 +526,12 @@ def test_separation_pairs_carry_at_most_the_caratheodory_count(seed):
         sides.append(tuple(helpers.random_symmetric(rng, n) + shift * np.eye(n) for _ in range(m)))
     cert = solve_separation(sides[0], sides[1], 1e-3, max_iters=20_000)
     images = []
-    for mats, point in zip(sides, (cert.pair.left, cert.pair.right)):
+    for mats, point in zip(sides, (cert.left, cert.right)):
         inst = ShmInstance(mats, np.zeros(m))
         assert point.num_terms <= min(m + 1, inst.n)
         images.append(_dense_image(inst, point))
     gap = float(np.linalg.norm(images[0] - images[1]))
-    assert abs(gap - cert.pair.gap) <= 1e-9 * cert.scale
+    assert abs(gap - cert.gap) <= 1e-9 * cert.scale
 
 
 def test_feasible_walk_continues_past_factoring_drift(monkeypatch):

@@ -40,7 +40,7 @@ def test_disjoint_intervals_certify_without_moving():
     cert = solve_separation(LEFT_LOW, RIGHT_HIGH, 1e-4)
     assert cert.kind == SEPARATED
     assert cert.iterations == 0
-    assert cert.pair.gap == pytest.approx(3.0)
+    assert cert.gap == pytest.approx(3.0)
     assert cert.hyperplane.normal[0] == pytest.approx(3.0)
     assert cert.hyperplane.offset == pytest.approx(9.0)
     assert cert.left_margin == pytest.approx(3.0)
@@ -94,9 +94,9 @@ def test_swapping_sides_flips_the_certificate_orientation():
 def test_overlapping_intervals_meet_within_tolerance():
     cert = solve_separation(LEFT_WIDE, RIGHT_WIDE, 1e-4)
     assert cert.kind == INTERSECTING
-    assert cert.pair.gap <= 1e-4 * cert.scale
-    left_val = float(image(interval_instance(1.0, 3.0), cert.pair.left)[0])
-    right_val = float(image(interval_instance(2.0, 5.0), cert.pair.right)[0])
+    assert cert.gap <= 1e-4 * cert.scale
+    left_val = float(image(interval_instance(1.0, 3.0), cert.left)[0])
+    right_val = float(image(interval_instance(2.0, 5.0), cert.right)[0])
     assert 1.0 - 1e-9 <= left_val <= 3.0 + 1e-9
     assert 2.0 - 1e-9 <= right_val <= 5.0 + 1e-9
 
@@ -112,7 +112,7 @@ def test_overlapping_squares_meet_in_few_oracle_calls():
     for eps in (1e-3, 1e-4):
         cert = solve_separation(square(0.0, 0.0), square(1.0, 0.7), eps)
         assert cert.kind == INTERSECTING, eps
-        assert cert.pair.gap <= eps * cert.scale, eps
+        assert cert.gap <= eps * cert.scale, eps
         assert cert.oracle_calls <= 10, (eps, cert.oracle_calls)
 
 
@@ -139,12 +139,12 @@ def test_identical_instances_touch_at_the_start():
 
 def test_pair_snapshot_is_consistent():
     cert = solve_separation(LEFT_WIDE, RIGHT_WIDE, 1e-4)
-    cert.pair.left.validate()
-    cert.pair.right.validate()
-    li = image(interval_instance(1.0, 3.0), cert.pair.left)
-    ri = image(interval_instance(2.0, 5.0), cert.pair.right)
+    cert.left.validate()
+    cert.right.validate()
+    li = image(interval_instance(1.0, 3.0), cert.left)
+    ri = image(interval_instance(2.0, 5.0), cert.right)
     recomputed = float(np.linalg.norm(li - ri))
-    assert abs(recomputed - cert.pair.gap) <= 1e-10 * 2.0 * cert.scale
+    assert abs(recomputed - cert.gap) <= 1e-10 * 2.0 * cert.scale
 
 
 # ------------------------------------------------------------------- plumbing
@@ -170,7 +170,7 @@ def test_zero_budget_reports_inconclusive():
     # uniform starts land on the interval midpoints 2.0 and 3.5
     cert = solve_separation(LEFT_WIDE, RIGHT_WIDE, 1e-4, max_iters=0)
     assert cert.kind == INCONCLUSIVE
-    assert cert.pair.gap == pytest.approx(1.5)
+    assert cert.gap == pytest.approx(1.5)
 
 
 def test_instances_with_targets_are_accepted_and_targets_ignored():
@@ -199,4 +199,4 @@ def test_interval_verdicts_match_geometry(quarters):
         mid = 0.5 * (a + b)
         cert = solve_separation(left, (np.diag([mid, mid + d - c + 0.5]),), eps)
         assert cert.kind == INTERSECTING
-        assert cert.pair.gap <= eps * cert.scale
+        assert cert.gap <= eps * cert.scale
