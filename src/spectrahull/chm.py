@@ -1,8 +1,8 @@
 """The walk every solver steps with, and the types of point-set membership.
 
 ``_Walk`` keeps a convex combination of at most m+1 atoms by their images
-in R^m, and its step moves to the point of the atoms' hull nearest the
-target (Wolfe's minor cycles), never farther from it than the segment step.
+in R^m; its step runs Wolfe's minor cycles from the segment step's weights,
+so it never ends farther from the target than the segment step.
 ``shm`` and ``svmsep`` walk over rank-one atoms; ``shm.solve_chm`` walks
 over the coordinate vectors e_i of a ``PointSet``, the paper's diagonal
 embedding, on the same driver loop as ``solve_shm``, and answers with the
@@ -147,12 +147,11 @@ def _nearest_weights(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     from ``w`` toward mu until the first one reaches zero, that row is
     dropped, and the cycle repeats.  No cycle ends farther from the origin
     than it started, and each drops a row, so there are at most as many
-    cycles as rows.  Given the nearest point of the hull of the other rows
-    and a new row at weight zero that is closer to the origin along that
-    point's direction, the result is strictly closer (one major cycle of
-    Wolfe's algorithm).  Affinely dependent rows make the system exactly
-    singular; it is still consistent, so a least-squares solution gives a
-    valid minimiser.  Dropped rows get weight zero.
+    cycles as rows.  ``_Walk.add`` starts them from the segment step's
+    weights, so a walk step ends no farther from its target than that step.
+    Affinely dependent rows make the system exactly singular; it is still
+    consistent, so a least-squares solution gives a valid minimiser.
+    Dropped rows get weight zero.
     """
     w = np.array(w, dtype=float)
     live = np.arange(w.size)
@@ -215,21 +214,15 @@ class _Walk:
         return self._ti[: self.k]
 
     def add(self, target: np.ndarray, vec: np.ndarray, img: np.ndarray) -> None:
-        """Step toward the pivot atom ``vec`` with image ``img``, never ending
-        farther from ``target`` than the segment step; raises
-        ``DegeneratePivotError``, changing nothing, when ``img`` is ``image``."""
+        """Step toward the pivot atom ``vec`` with image ``img``: Wolfe's
+        minor cycles from the segment step's weights ``((1 - alpha) w, alpha)``;
+        raises ``DegeneratePivotError``, changing nothing, when ``img`` is ``image``."""
         k = self.k
-        seg, alpha = _ta_step(target, self.image, img)
+        _, alpha = _ta_step(target, self.image, img)
         w0, v, ti = self._w[: k + 1], self._v[: k + 1], self._ti[: k + 1]
-        w0[k], v[k], ti[k] = 0.0, vec, img
-        y = ti - target
-        w = _nearest_weights(y, w0)
-        near, d = w @ y, seg - target
-        if math.sqrt(near @ near) > math.sqrt(d @ d):
-            # a warm start's weights need not be nearest for this target;
-            # the segment step's point lies in the same hull
-            w = (1.0 - alpha) * w0
-            w[k] = alpha
+        w0[:k] *= 1.0 - alpha
+        w0[k], v[k], ti[k] = alpha, vec, img
+        w = _nearest_weights(ti - target, w0)
         keep = w > 0.0
         if keep.all():
             w0[:] = w

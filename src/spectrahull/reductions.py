@@ -158,6 +158,8 @@ class MaxCutInstance:
         # rejects the resulting inf
         with np.errstate(over="ignore"):
             for i, j, wt in edges:
+                if not (0 <= i < n and 0 <= j < n):
+                    raise ValueError(f"edge endpoints must lie in [0, {n})")
                 if i == j:
                     raise ValueError("self loops are not allowed")
                 w[i, j] += wt

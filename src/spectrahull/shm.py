@@ -537,7 +537,7 @@ def verify_certificate(instance: ShmInstance, cert: Certificate) -> Verification
     factorisation proves ``sum_k c_k A_k - (h + eig_margin/2)*I`` positive
     definite for a positive stored margin, so every rank-one point, and with
     them the whole image set, lies on the positive side by more than half
-    that margin.
+    that margin.  A point of another order than the instance's fails a check.
     """
     if cert.kind not in (FEASIBLE, WITNESS):
         raise ValueError("only Feasible or Witness certificates can be verified")
@@ -557,11 +557,14 @@ def verify_certificate(instance: ShmInstance, cert: Certificate) -> Verification
     except ValueError as err:
         note(False, f"representation invariants: {err}")
     tol = 1e-9 * instance.radius_bound + 1e-12
-    gap = float(np.linalg.norm(image(instance, pt) - instance.b))
-    note(abs(gap - cert.gap) <= tol, f"reported gap reproduced ({gap:.3e})")
-    if cert.kind == FEASIBLE:
-        note(gap <= cert.epsilon * instance.radius_bound + tol, "gap within tolerance ball")
+    if pt.n != instance.n:
+        note(False, f"point of order {pt.n}, not the instance's {instance.n}")
     else:
+        gap = float(np.linalg.norm(image(instance, pt) - instance.b))
+        note(abs(gap - cert.gap) <= tol, f"reported gap reproduced ({gap:.3e})")
+        if cert.kind == FEASIBLE:
+            note(gap <= cert.epsilon * instance.radius_bound + tol, "gap within tolerance ball")
+    if cert.kind == WITNESS:
         hp = cert.hyperplane
         present = hp is not None and hp.normal.shape == (instance.m,)
         note(present, f"hyperplane with a normal of length {instance.m} present")

@@ -14,7 +14,7 @@ from spectrahull import (
     find_pivot,
     solve_chm,
 )
-from spectrahull.chm import _nearest_weights, _ta_step, default_iteration_cap
+from spectrahull.chm import _nearest_weights, _ta_step, _Walk, default_iteration_cap
 
 TRIANGLE = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 SEGMENT = PointSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -150,6 +150,38 @@ def test_nearest_weights_reach_the_origin_through_a_new_row():
     # from the row 2 alone, the new row -1 puts the origin in the hull
     w = _nearest_weights(np.array([[2.0], [-1.0]]), np.array([1.0, 0.0]))
     assert w == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-15)
+
+
+def test_walk_step_never_ends_farther_than_its_segment_step():
+    """After every step the walk's image is no farther from the target than
+    the Triangle Algorithm's segment point, its weights are positive and sum
+    to one, and it keeps at most m+1 atoms: for a fixed target and for one
+    that moves before each step, as a separation side's does, also when a
+    pivot repeats an atom and Wolfe's system turns singular."""
+    rng = np.random.default_rng(1)
+    for walk_no in range(400):
+        m = 1 + walk_no % 5
+        moving = walk_no % 2 == 1
+        img = rng.standard_normal(m)
+        walk = _Walk(m, np.ones(1), img[None, :], img[None, :])
+        target = rng.standard_normal(m)
+        for _ in range(16):
+            if moving:
+                target = target + rng.standard_normal(m)
+            if rng.random() < 0.25:
+                img = walk.ti[int(rng.integers(walk.k))].copy()
+            else:
+                img = rng.standard_normal(m)
+            try:
+                seg, _ = _ta_step(target, walk.image, img)
+                walk.add(target, img, img)
+            except DegeneratePivotError:
+                continue
+            bound = np.linalg.norm(seg - target) + 1e-13 * (1.0 + np.linalg.norm(target))
+            assert np.linalg.norm(walk.image - target) <= bound
+            assert np.all(walk.w > 0.0)
+            assert walk.w.sum() == pytest.approx(1.0, abs=1e-12)
+            assert walk.k <= m + 1
 
 
 # ------------------------------------------------------------------ solve_chm

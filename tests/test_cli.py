@@ -287,12 +287,12 @@ kind chm
 status Witness
 epsilon 0.01
 radius 3.640054944640259
-gap 1.2480754415067654
+gap 1.2480754415067656
 iterations 1
-hyperplane-offset -3.2019230769230766
-hyperplane-normal -1.0384615384615383 -0.69230769230769229
-point 1.4615384615384617 1.3076923076923077
-coeffs 0 0.46153846153846156 0.53846153846153844 0 0
+hyperplane-offset -3.2019230769230771
+hyperplane-normal -1.0384615384615385 -0.69230769230769229
+point 1.4615384615384615 1.3076923076923077
+coeffs 0 0.46153846153846151 0.53846153846153844 0 0
 """),
 )
 
@@ -345,7 +345,7 @@ kind svm
 status Intersecting
 epsilon 0.01
 scale 6.7993783695075987
-gap 0.063191514449472769
+gap 0.063191514449472325
 iterations 7
 oracle-calls 11
 """),

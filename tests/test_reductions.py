@@ -144,6 +144,10 @@ def test_maxcut_instance_validation():
         MaxCutInstance(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(ValueError):
         MaxCutInstance.from_edges(2, [(0, 0, 1.0)])
+    # negative indices would wrap, and n itself is past the end
+    for edge in [(0, -1, 1.0), (0, 3, 1.0), (2, -1, 1.0)]:
+        with pytest.raises(ValueError, match=r"endpoints must lie in \[0, 3\)"):
+            MaxCutInstance.from_edges(3, [edge])
 
 
 def test_from_edges_accumulates_parallel_edges():

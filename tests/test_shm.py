@@ -664,6 +664,11 @@ def test_verify_witness_certificate():
 def test_verify_flags_tampered_weights():
     inst = interval_with(1.0)
     cert = solve_shm(inst, 1e-6)
+    # a point of the wrong order is a failed check, not an exception
+    forged = dataclasses.replace(cert, point=SpectraplexPoint.rank_one([1.0, 0.0]))
+    report = verify_certificate(inst, forged)
+    assert not report.passed
+    assert report.checks[-1].startswith("FAIL point of order 2"), report.checks
     object.__setattr__(cert.point, "weights", cert.point.weights * 0.9)
     report = verify_certificate(inst, cert)
     assert not report.passed
